@@ -22,12 +22,11 @@ func TestMain(m *testing.M) {
 }
 
 // point is the custom element type the struct-mapping conformance test
-// round-trips through the wire codec.
+// maps: pointer-free, so it has a raw wire layout once registered.
 type point struct{ X, Y, Z float64 }
 
 func init() {
 	RegisterType(point{})
-	RegisterType([]point(nil))
 
 	// Named kernels are resolvable on both ends of the subprocess pipe
 	// because parent and worker run this same test binary.
@@ -283,7 +282,8 @@ func TestNestedTargetData(t *testing.T) {
 }
 
 // TestKernelPanicSurfacesAndWorkerSurvives turns kernel panics into errors
-// on both backends; the subprocess worker must keep serving afterwards.
+// on both backends; the subprocess worker must keep serving afterwards, and
+// after a failed posted operation too.
 func TestKernelPanicSurfacesAndWorkerSurvives(t *testing.T) {
 	for _, b := range backends(t) {
 		err := b.mgr.Target(b.dev, "conf.panic", nil, Launch{})
@@ -297,6 +297,34 @@ func TestKernelPanicSurfacesAndWorkerSurvives(t *testing.T) {
 		}
 		if x[0] != 2 {
 			t.Fatalf("%s: x[0] = %v after recovery, want 2", b.name, x[0])
+		}
+		sub, ok := b.mgr.entries[b.dev].dev.(*subprocessDevice)
+		if !ok {
+			continue
+		}
+		// A posted op that fails — MapTo into a freed buffer — returns
+		// nothing at the call. The failure surfaces on the next waited
+		// call, which does not run, and the worker keeps serving.
+		obj := Object{Name: "x", Data: x}
+		p, err := sub.Alloc(obj)
+		if err == nil {
+			err = sub.Free(p)
+		}
+		if err == nil {
+			err = sub.MapTo(p, obj)
+		}
+		if err != nil {
+			t.Fatalf("posted ops must not report worker-side failures at the call: %v", err)
+		}
+		err = b.mgr.Target(b.dev, "conf.scale", nil, Launch{}, Mapping{Kind: MapToFrom, Name: "x", Data: x})
+		if err == nil || !strings.Contains(err.Error(), "posted") || !strings.Contains(err.Error(), "map-to") || !strings.Contains(err.Error(), "unknown buffer") {
+			t.Fatalf("want the posted map-to failure on the next waited call, got %v", err)
+		}
+		if x[0] != 2 || b.mgr.presentRefs(b.dev, x) != 0 {
+			t.Fatalf("the launch behind a failed posted op ran or stayed mapped: x[0] = %v, refs %d", x[0], b.mgr.presentRefs(b.dev, x))
+		}
+		if err := b.mgr.Target(b.dev, "conf.scale", nil, Launch{}, Mapping{Kind: MapToFrom, Name: "x", Data: x}); err != nil || x[0] != 4 {
+			t.Fatalf("worker unusable after a posted-op failure: err %v, x[0] = %v, want 4", err, x[0])
 		}
 	}
 }

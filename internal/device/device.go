@@ -12,7 +12,8 @@
 //     own hot-team pool), with zero-copy maps — the host-fallback device
 //     every OpenMP implementation carries.
 //   - subprocess: re-executes the current binary as a worker child and
-//     marshals the data environment over its stdin/stdout pipes — the
+//     moves the data environment over its stdin/stdout pipes as raw
+//     memory in length-prefixed frames (frame.go) — the
 //     sharding/multi-machine proof. Kernels must be registered by name
 //     (RegisterKernel) to be addressable across the process boundary,
 //     exactly as a real compiler registers device images; the worker side
@@ -84,9 +85,10 @@ func (k MapKind) hasFrom() bool { return k == MapFrom || k == MapToFrom }
 
 // Mapping is one map clause item: a named piece of host storage plus the
 // transfer direction. Data must be a slice, or a pointer to a scalar,
-// struct or slice (pointers are how scalar write-back reaches the caller);
-// custom struct element types must be registered with RegisterType before
-// they can cross a subprocess pipe.
+// struct or slice (pointers are how scalar write-back reaches the caller).
+// Out-of-process devices take pointer-free element types only (bools,
+// numbers, and arrays and structs of them), and struct and array types
+// must be registered with RegisterType; the host device takes anything.
 type Mapping struct {
 	Kind MapKind
 	Name string

@@ -196,6 +196,7 @@ func (m *Manager) Target(devID int, name string, k Kernel, cfg Launch, maps ...M
 	}
 
 	execErr := e.dev.Exec(name, k, cfg, args)
+	e.present.deviceLost(execErr)
 
 	var exitErr error
 	for i := len(maps) - 1; i >= 0; i-- {

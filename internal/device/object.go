@@ -1,9 +1,10 @@
 package device
 
 import (
-	"encoding/gob"
 	"fmt"
 	"reflect"
+	"sync"
+	"unsafe"
 )
 
 // Object is a normalized piece of host storage participating in the data
@@ -60,7 +61,8 @@ func (o Object) keyOf() hostKey {
 	return hostKey{addr: rv.Pointer(), len: -1}
 }
 
-// byteSize approximates the transfer size for trace events.
+// byteSize is the size of the object's storage: the transfer size trace
+// events report and the length of its raw wire form.
 func (o Object) byteSize() int64 {
 	rv := reflect.ValueOf(o.Data)
 	switch rv.Kind() {
@@ -73,123 +75,113 @@ func (o Object) byteSize() int64 {
 	}
 }
 
-// flatValue is the object's wire form: the slice value, or the pointee for
-// pointer objects (gob flattens pointers anyway; doing it explicitly keeps
-// both pipe directions symmetric).
-func (o Object) flatValue() any {
+// raw is the object's storage viewed as bytes — what crosses a device pipe
+// in either direction: the slice's backing array, or the pointee. Parent
+// and worker are one binary, so the layout is the same on both ends.
+func (o Object) raw() []byte {
 	rv := reflect.ValueOf(o.Data)
-	if rv.Kind() == reflect.Pointer {
-		return rv.Elem().Interface()
-	}
-	return o.Data
+	return unsafe.Slice((*byte)(rv.UnsafePointer()), o.byteSize())
 }
 
-// shapeValue is a zero-valued object of the same shape, the wire form of
-// Alloc (map(alloc:) ships shape, not contents).
-func (o Object) shapeValue() any {
+// wireShape is what Alloc ships instead of contents: the registered name
+// of the element type and the element count, -1 for a pointer object (one
+// boxed value). It enforces the mappable-type rule before a byte is sent:
+// the element type must have a raw layout and be registered, and the
+// storage must be a plain []T or *T, because that is what the worker
+// allocates and what kernels type-assert on every backend.
+func (o Object) wireShape() (name string, count int64, err error) {
 	rv := reflect.ValueOf(o.Data)
-	if rv.Kind() == reflect.Pointer {
-		rv = rv.Elem()
-	}
+	elem := rv.Type().Elem()
+	count = -1
 	if rv.Kind() == reflect.Slice {
-		return reflect.MakeSlice(rv.Type(), rv.Len(), rv.Len()).Interface()
+		count = int64(rv.Len())
 	}
-	return reflect.Zero(rv.Type()).Interface()
+	if n, ok := typeNames.Load(elem); ok {
+		name = n.(string)
+	} else if why := notRaw(elem); why != "" {
+		return "", 0, fmt.Errorf("type %s cannot cross a device pipe: %s", rv.Type(), why)
+	} else {
+		return "", 0, fmt.Errorf("type %s is not registered: call RegisterMapType(%s{}) on both sides of the pipe (package init)", elem, elem)
+	}
+	if rv.Type().Name() != "" {
+		plain := reflect.PointerTo(elem)
+		if count >= 0 {
+			plain = reflect.SliceOf(elem)
+		}
+		return "", 0, fmt.Errorf("named type %s cannot cross a device pipe: map it as %s", rv.Type(), plain)
+	}
+	return name, count, nil
 }
 
-// storeFlat copies a decoded flat value back into the object's host
-// storage: element-wise into slices (the backing array the caller sees),
-// through the pointer otherwise.
-func (o Object) storeFlat(val any) error {
-	dst := reflect.ValueOf(o.Data)
-	src := reflect.ValueOf(val)
-	switch dst.Kind() {
-	case reflect.Slice:
-		if src.Kind() != reflect.Slice || src.Type() != dst.Type() {
-			return fmt.Errorf("device: %s: device returned %T, host storage is %T", o.Name, val, o.Data)
+// notRaw reports why values of t have no raw wire layout, "" when they do.
+// Raw layout is defined for pointer-free types: bools, integers, floats,
+// complex numbers, and arrays and structs of those. The reason names the
+// path to the offending field.
+func notRaw(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	case reflect.Array:
+		if why := notRaw(t.Elem()); why != "" {
+			return "element " + why
 		}
-		if src.Len() != dst.Len() {
-			return fmt.Errorf("device: %s: device returned %d elements, host storage has %d", o.Name, src.Len(), dst.Len())
+		return ""
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if why := notRaw(t.Field(i).Type); why != "" {
+				return "field " + t.Field(i).Name + ": " + why
+			}
 		}
-		reflect.Copy(dst, src)
-		return nil
-	case reflect.Pointer:
-		if src.Type() != dst.Type().Elem() {
-			return fmt.Errorf("device: %s: device returned %T, host storage is %T", o.Name, val, o.Data)
-		}
-		dst.Elem().Set(src)
-		return nil
+		return ""
 	default:
-		return fmt.Errorf("device: %s: by-value storage is not writable", o.Name)
+		return fmt.Sprintf("%s is a %s, which holds a pointer", t, t.Kind())
 	}
 }
 
-// freshStorage materialises worker-side storage for a flat wire value,
-// addressable so kernels can mutate it: slices stay slices (already
-// backed by their own array after decode), everything else is boxed behind
-// a pointer so Env.Get returns the same shapes as the host backend.
-func freshStorage(flat any) any {
-	rv := reflect.ValueOf(flat)
-	if !rv.IsValid() {
-		return nil
-	}
-	if rv.Kind() == reflect.Slice {
-		return flat
-	}
-	p := reflect.New(rv.Type())
-	p.Elem().Set(rv)
-	return p.Interface()
-}
+// The map-type registry: element type <-> wire name. The host names the
+// type in Alloc; the worker, the same binary with the same registrations,
+// allocates from the name. Only types with a raw layout get in, so the
+// worker never overlays wire bytes on memory that holds pointers.
+var (
+	typeNames   sync.Map // reflect.Type -> string
+	typesByName sync.Map // string -> reflect.Type
+)
 
-// storeIntoFresh overwrites worker-side storage in place with a new flat
-// value (MapTo re-transfer into an existing buffer).
-func storeIntoFresh(store any, flat any) error {
-	dst := reflect.ValueOf(store)
-	src := reflect.ValueOf(flat)
-	switch dst.Kind() {
-	case reflect.Slice:
-		if src.Kind() != reflect.Slice || src.Type() != dst.Type() || src.Len() != dst.Len() {
-			return fmt.Errorf("device: transfer shape mismatch: have %T, got %T", store, flat)
-		}
-		reflect.Copy(dst, src)
-		return nil
-	case reflect.Pointer:
-		if src.Type() != dst.Type().Elem() {
-			return fmt.Errorf("device: transfer shape mismatch: have %T, got %T", store, flat)
-		}
-		dst.Elem().Set(src)
-		return nil
-	default:
-		return fmt.Errorf("device: worker storage %T is not addressable", store)
+// RegisterType registers the element type of v (v itself, or what a slice
+// or pointer v holds) so values of it can be mapped onto out-of-process
+// devices. Builtin numeric and bool types are pre-registered. It panics
+// for a type with no raw layout: registration has no other purpose, and a
+// program that needs such a type on a device has to flatten it first.
+func RegisterType(v any) {
+	t := reflect.TypeOf(v)
+	if t != nil && (t.Kind() == reflect.Slice || t.Kind() == reflect.Pointer) {
+		t = t.Elem()
 	}
-}
-
-// flatOfStore is the wire form of worker-side storage (inverse of
-// freshStorage).
-func flatOfStore(store any) any {
-	rv := reflect.ValueOf(store)
-	if rv.Kind() == reflect.Pointer {
-		return rv.Elem().Interface()
+	if t == nil {
+		panic("device: RegisterType(nil)")
 	}
-	return store
+	if why := notRaw(t); why != "" {
+		panic(fmt.Sprintf("device: RegisterType(%s): cannot cross a device pipe: %s", t, why))
+	}
+	name := t.String()
+	if t.PkgPath() != "" {
+		name = t.PkgPath() + "." + t.Name()
+	}
+	if prev, loaded := typesByName.LoadOrStore(name, t); loaded && prev != t {
+		panic(fmt.Sprintf("device: RegisterType(%s): wire name %q already names %s", t, name, prev))
+	}
+	typeNames.Store(t, name)
 }
-
-// RegisterType registers a custom element/struct type with the wire codec
-// (encoding/gob), required before values of that type cross a subprocess
-// pipe. Builtin scalars and their slices are pre-registered.
-func RegisterType(v any) { gob.Register(v) }
 
 func init() {
-	// Pre-register the types wire Data fields commonly hold, so users only
-	// need RegisterType for their own structs.
 	for _, v := range []any{
 		false, int(0), int8(0), int16(0), int32(0), int64(0),
 		uint(0), uint8(0), uint16(0), uint32(0), uint64(0), uintptr(0),
-		float32(0), float64(0), "",
-		[]bool(nil), []int(nil), []int8(nil), []int16(nil), []int32(nil), []int64(nil),
-		[]uint(nil), []uint16(nil), []uint32(nil), []uint64(nil),
-		[]float32(nil), []float64(nil), []string(nil), []byte(nil),
+		float32(0), float64(0), complex64(0), complex128(0),
 	} {
-		gob.Register(v)
+		RegisterType(v)
 	}
 }

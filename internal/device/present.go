@@ -1,6 +1,7 @@
 package device
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -44,16 +45,35 @@ func (pt *presentTable) refsOf(obj Object) int {
 	return 0
 }
 
+// dropIfLost empties the table when *err says the device is gone: its
+// buffers went with it, so there is nothing left to copy back or free.
+// enter, exit and update defer it under pt.mu.
+func (pt *presentTable) dropIfLost(err *error) {
+	if errors.Is(*err, errDeviceLost) {
+		clear(pt.entries)
+	}
+}
+
+// deviceLost is dropIfLost for a failure seen outside the table (Exec).
+func (pt *presentTable) deviceLost(err error) {
+	if err != nil {
+		pt.mu.Lock()
+		pt.dropIfLost(&err)
+		pt.mu.Unlock()
+	}
+}
+
 // enter maps one item into the device data environment: present-table
 // lookup, then Alloc (+MapTo for to/tofrom) on a miss, or a refcount bump
 // on a hit. It returns the device buffer naming the item in kernel args.
-func (pt *presentTable) enter(dev Device, m Mapping) (Ptr, error) {
+func (pt *presentTable) enter(dev Device, m Mapping) (_ Ptr, err error) {
 	obj, err := normalizeObject(m)
 	if err != nil {
 		return 0, err
 	}
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
+	defer pt.dropIfLost(&err)
 	key := obj.keyOf()
 	if e := pt.entries[key]; e != nil {
 		e.refs++
@@ -78,13 +98,14 @@ func (pt *presentTable) enter(dev Device, m Mapping) (Ptr, error) {
 // type of this exit decides the copy-back (from/tofrom transfer, everything
 // else just frees). MapDelete forces removal without a transfer regardless
 // of the count.
-func (pt *presentTable) exit(dev Device, m Mapping) error {
+func (pt *presentTable) exit(dev Device, m Mapping) (err error) {
 	obj, err := normalizeObject(m)
 	if err != nil {
 		return err
 	}
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
+	defer pt.dropIfLost(&err)
 	key := obj.keyOf()
 	e := pt.entries[key]
 	if e == nil {
@@ -113,13 +134,14 @@ func (pt *presentTable) exit(dev Device, m Mapping) error {
 
 // update forces a motion for a present item: MapTo for to-kinds, MapFrom
 // for from-kinds — the target update construct. Absent items are a no-op.
-func (pt *presentTable) update(dev Device, m Mapping) error {
+func (pt *presentTable) update(dev Device, m Mapping) (err error) {
 	obj, err := normalizeObject(m)
 	if err != nil {
 		return err
 	}
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
+	defer pt.dropIfLost(&err)
 	e := pt.entries[obj.keyOf()]
 	if e == nil {
 		return nil

@@ -8,8 +8,8 @@ import (
 // Device offload — the target construct family. Constructs lower onto a
 // registry of devices (internal/device): device 0 is the host backend (a
 // dedicated in-process runtime, zero-copy maps); devices 1..n are
-// subprocess backends that re-execute this binary as workers and marshal
-// the data environment over pipes. The registry is configured from
+// subprocess backends that re-execute this binary as workers and move the
+// data environment over pipes as raw memory. The registry is configured from
 // OMP_DEFAULT_DEVICE, OMP_TARGET_OFFLOAD and GOMP_SUBPROCESS_DEVICES on
 // first use.
 //
@@ -74,8 +74,15 @@ func RegisterKernel(name string, k func(rt *Runtime, cfg Launch, env *TargetEnv)
 	})
 }
 
-// RegisterMapType registers a custom struct type with the wire codec so
-// values of that type can cross a subprocess pipe in map clauses.
+// RegisterMapType registers the element type of v (v itself, or what a
+// slice or pointer v holds) so map clauses can carry it to subprocess
+// devices: the worker allocates device buffers from the registered name.
+// Mapped storage crosses the pipe as raw memory, so the type must be
+// pointer-free — bools, integers, floats, complex numbers, and arrays and
+// structs of those; RegisterMapType panics otherwise. Builtin numeric and
+// bool types are pre-registered. Call it from package init, like
+// RegisterKernel, so parent and worker agree. The host device needs none of
+// this: it maps any storage zero-copy.
 func RegisterMapType(v any) { device.RegisterType(v) }
 
 // WorkerInit turns a process spawned as a device worker into a kernel
