@@ -2,217 +2,205 @@ package modpipe
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/directive"
+	"repro/internal/transform"
 )
 
-// The incremental rebuild cache. Keying is pure content addressing: a
-// file's cache key is SHA-256 over (cache format tag, transformer version,
-// sema version, transform options, relative path, source bytes). Nothing
-// about mtimes or sizes — a touched-but-identical file is still a hit, a
-// reverted file becomes a hit again (old entries survive saves: the index
-// is a union across runs, not a snapshot), and bumping transform.Version
-// or sema.Version (or changing the facade package/import options, which
-// also change the emitted bytes) invalidates every entry at once because
-// every key moves. The relative path is part of the key because cached
-// DiagnosticLists replay verbatim and carry the path in their positions.
+// The incremental rebuild cache. Keying is pure content addressing: every
+// source is read and SHA-256'd once per run and both key families derive
+// from that digest (contentKey, semaUnitKey). Nothing about mtimes or sizes
+// — a touched-but-identical file is still a hit, a reverted file becomes a
+// hit again (the log only grows, so old records survive), and bumping
+// transform.Version or sema.Version moves every key at once. Sema results
+// are cached per package unit, at error severity (the strict view; warn
+// mode demotes copies at aggregation), so records are mode-independent.
 //
-// Sema results are cached separately from transform results because their
-// unit is the package, not the file: a sema entry's key hashes the sema
-// version, the unit label and every member file's (path, content hash)
-// pair, so editing any file in a package re-checks that one unit while
-// the per-file transform entries — whose keys depend only on their own
-// file — keep replaying. Cached sema diagnostics are stored at error
-// severity (the strict view); warn mode demotes copies at aggregation, so
-// the entries themselves are mode-independent.
+// The cache directory holds one file, cache.log: a sequence of records,
+// integers little-endian.
 //
-// Layout under the cache directory:
+//	header   magic u32 (the format tag) | payload length u32 | CRC-32 (IEEE)
+//	         of the payload u32
+//	payload  kind u8 (1 file, 2 sema unit) | flags u8 | key [32] |
+//	         lengths u32 of name, package and diagnostics |
+//	         name (relative path or unit label, informational) |
+//	         package-clause name | diagnostics (JSON; empty when none) |
+//	         output bytes (the rest)
 //
-//	index.json      content key -> {path, diagnostics, had-output, changed}
-//	                plus sema: unit key -> {label, diagnostics}
-//	blobs/<key>     the transformed output bytes
-//
-// Corruption is never fatal: an unreadable or unparseable index means a
-// cold run, a missing or unreadable blob means that one file is cold. The
-// index is written atomically (temp file + rename) after the parallel
-// phase, from the deterministic results slice, so two runs at different
-// worker counts write byte-identical indexes. The union grows with every
-// distinct content version seen; the directory is disposable — deleting it
-// just means one cold run.
+// A run loads the log with one read and one linear scan; records alias the
+// loaded buffer (so does FileResult.Output) and are decoded only when hit,
+// so nothing is allocated by a length the file declares. The scan ends at
+// the first record that is short, has another magic or fails its CRC: what
+// precedes it is the cache (an unknown format is a cold cache) and the file
+// is truncated there before the next append. A run appends only its new
+// records — none when fully warm — after the join, sema units in label
+// order and then files in DiscoverFiles order, with one O_APPEND write: any
+// worker count writes the same bytes, and two runs sharing a directory
+// cannot interleave — at worst one truncates the other's tail, which costs
+// re-transforms, never a wrong hit. Deleting the directory means a cold run.
 
-// cacheFormat tags the on-disk layout; mixed into every key.
-const cacheFormat = "gompcc-cache-v1"
+// cacheFormat is mixed into every key; recMagic tags every record on disk.
+// Bump both when the record layout or the key derivation changes.
+const (
+	cacheFormat = "gompcc-cache-v2"
+	recMagic    = 0x32636d67 // "gmc2"
+	logName     = "cache.log"
+	recHeader   = 12 // magic, payload length, CRC
+	recFixed    = 46 // kind, flags, key, three lengths
 
-// cacheEntry is one (path, content) outcome in index.json.
-type cacheEntry struct {
-	Rel       string                  `json:"rel"` // informational
-	HasOutput bool                    `json:"has_output"`
-	Changed   bool                    `json:"changed"`
-	Diags     []*directive.Diagnostic `json:"diags,omitempty"`
+	recFile, recSema         = 1, 2
+	flagOutput, flagPanicked = 1, 2
+)
+
+var le = binary.LittleEndian
+
+// cacheKey is a content key: a raw SHA-256.
+type cacheKey = [sha256.Size]byte
+
+// entry is a record decoded, or an outcome to encode as one.
+type entry struct {
+	pkg      string // package-clause name; "" when the clause does not parse
+	panicked bool
+	diags    directive.DiagnosticList
+	out      []byte // nil when diagnostics blocked the output
 }
 
-// semaCacheEntry is one package-unit sema outcome in index.json. Diags
-// hold the strict (error-severity) view; warn mode demotes at replay.
-type semaCacheEntry struct {
-	Label string                  `json:"label"` // informational
-	Diags []*directive.Diagnostic `json:"diags,omitempty"`
-}
-
-// cacheIndex is the whole index.json, keyed by content key. Sema is nil
-// when the index predates the sema stage — that run is sema-cold, not
-// corrupt.
-type cacheIndex struct {
-	Format  string                     `json:"format"`
-	Entries map[string]*cacheEntry     `json:"entries"`
-	Sema    map[string]*semaCacheEntry `json:"sema,omitempty"`
-}
-
-// cache binds the index to its directory. A nil *cache disables caching.
+// cache is the loaded log. A nil *cache disables caching.
 type cache struct {
-	dir   string
-	index cacheIndex
+	path        string
+	recs        map[cacheKey][]byte // validated payloads, aliasing the loaded log
+	size, valid int                 // bytes loaded, and the prefix of them that scanned
 }
 
-// openCache loads the index from dir, treating every failure mode —
-// missing dir, missing file, truncated JSON, wrong format tag — as an
-// empty (cold) cache.
+// openCache loads the log under dir; no dir, no cache. Every failure mode —
+// missing directory or file, another format, damage anywhere — leaves the
+// records before it, down to none: a cold cache.
 func openCache(dir string) *cache {
-	c := &cache{dir: dir, index: cacheIndex{Format: cacheFormat, Entries: map[string]*cacheEntry{}}}
-	buf, err := os.ReadFile(filepath.Join(dir, "index.json"))
-	if err != nil {
-		return c
+	if dir == "" {
+		return nil
 	}
-	var idx cacheIndex
-	if jerr := json.Unmarshal(buf, &idx); jerr != nil || idx.Format != cacheFormat || idx.Entries == nil {
-		return c
+	c := &cache{path: filepath.Join(dir, logName), recs: map[cacheKey][]byte{}}
+	buf, _ := os.ReadFile(c.path)
+	c.size = len(buf)
+	for len(buf)-c.valid >= recHeader {
+		h := buf[c.valid:]
+		n := uint64(le.Uint32(h[4:]))
+		if le.Uint32(h) != recMagic || n < recFixed || n > uint64(len(h)-recHeader) {
+			break
+		}
+		end := recHeader + int(n)
+		r := h[recHeader:end:end]
+		fields := uint64(le.Uint32(r[34:])) + uint64(le.Uint32(r[38:])) + uint64(le.Uint32(r[42:]))
+		if crc32.ChecksumIEEE(r) != le.Uint32(h[8:]) || recFixed+fields > n {
+			break
+		}
+		c.recs[cacheKey(r[2:34])] = r
+		c.valid += end
 	}
-	c.index = idx
 	return c
 }
 
-// contentKey computes a file's transform cache key. semaVersion is part
-// of the key even though transform entries are sema-mode-independent:
-// bumping the semantic analyzer must invalidate warm entries wholesale
-// (the acceptance contract), and folding the version in here is what
-// moves every key at once.
-func contentKey(version, semaVersion string, topts transformOptsKey, rel string, src []byte) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%s\x00%s\x00", cacheFormat, version, semaVersion, topts.pkg, topts.imp, rel)
-	h.Write(src)
-	return hex.EncodeToString(h.Sum(nil))
+// lookup decodes the record of that kind under key; nil is a miss, as is a
+// nil cache or a record whose diagnostics do not decode.
+func (c *cache) lookup(kind byte, key cacheKey) *entry {
+	if c == nil {
+		return nil
+	}
+	r, ok := c.recs[key]
+	if !ok || r[0] != kind {
+		return nil
+	}
+	name, pkg, diags := int(le.Uint32(r[34:])), int(le.Uint32(r[38:])), int(le.Uint32(r[42:]))
+	b := r[recFixed+name:]
+	e := &entry{pkg: string(b[:pkg]), panicked: r[1]&flagPanicked != 0}
+	var ds []directive.Diagnostic // by value: a JSON null is no nil pointer
+	if diags > 0 && json.Unmarshal(b[pkg:pkg+diags], &ds) != nil {
+		return nil
+	}
+	for i := range ds {
+		e.diags = append(e.diags, &ds[i])
+	}
+	if r[1]&flagOutput != 0 {
+		e.out = b[pkg+diags:]
+	}
+	return e
+}
+
+// appendRecord encodes one record onto log.
+func appendRecord(log []byte, kind byte, key cacheKey, name string, e *entry) []byte {
+	var flags byte
+	if e.out != nil {
+		flags |= flagOutput
+	}
+	if e.panicked {
+		flags |= flagPanicked
+	}
+	var diags []byte
+	if len(e.diags) > 0 {
+		diags, _ = json.Marshal(e.diags) // structs of strings and ints: cannot fail
+	}
+	start := len(log)
+	log = append(log, make([]byte, recHeader)...)
+	log = append(log, kind, flags)
+	log = append(log, key[:]...)
+	for _, n := range [...]int{len(name), len(e.pkg), len(diags)} {
+		log = le.AppendUint32(log, uint32(n))
+	}
+	log = append(append(append(append(log, name...), e.pkg...), diags...), e.out...)
+	payload := log[start+recHeader:]
+	le.PutUint32(log[start:], recMagic)
+	le.PutUint32(log[start+4:], uint32(len(payload)))
+	le.PutUint32(log[start+8:], crc32.ChecksumIEEE(payload))
+	return log
+}
+
+// append writes the run's new records with one O_APPEND write, first
+// cutting off whatever the load could not scan.
+func (c *cache) append(log []byte) error {
+	if err := os.MkdirAll(filepath.Dir(c.path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	if c.valid < c.size {
+		err = f.Truncate(int64(c.valid))
+	}
+	if err == nil {
+		_, err = f.Write(log)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// contentKey computes a file's transform cache key from its source digest
+// and the part of transform.Options that shapes output. semaVersion is in
+// the key even though transform records are sema-mode-independent: bumping
+// the semantic analyzer must invalidate warm records wholesale, and
+// folding the version in here is what moves every key at once. rel is in
+// it because cached diagnostics replay verbatim and carry the path.
+func contentKey(version, semaVersion string, topts transform.Options, rel string, sum cacheKey) cacheKey {
+	pre := strings.Join([]string{cacheFormat, version, semaVersion, topts.Package, topts.ImportPath, rel, ""}, "\x00")
+	return sha256.Sum256(append([]byte(pre), sum[:]...))
 }
 
 // semaUnitKey computes a package unit's sema cache key from the sema
-// version, the unit label and the sorted (path, content-hash) pairs of
-// every member file — any member edit moves the key.
-func semaUnitKey(semaVersion, label string, rels []string, hashes map[string][32]byte) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00sema\x00%s\x00%s\x00", cacheFormat, semaVersion, label)
-	for _, rel := range rels {
-		sum := hashes[rel]
-		fmt.Fprintf(h, "%s\x00%x\x00", rel, sum)
+// version, the unit label and the (path, source digest) pair of every
+// member file, in DiscoverFiles order — any member edit moves the key.
+func semaUnitKey(semaVersion, label string, members []*unit) cacheKey {
+	pre := []byte(strings.Join([]string{cacheFormat, "sema", semaVersion, label, ""}, "\x00"))
+	for _, m := range members {
+		pre = append(append(pre, m.rel...), 0)
+		pre = append(pre, m.sum[:]...)
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// transformOptsKey is the part of transform.Options that shapes output.
-type transformOptsKey struct{ pkg, imp string }
-
-// lookup returns the entry under key, along with the cached output blob
-// (nil when the entry recorded no output). A missing blob despite
-// has_output demotes the entry to a miss.
-func (c *cache) lookup(key string) (*cacheEntry, []byte, bool) {
-	if c == nil {
-		return nil, nil, false
-	}
-	e := c.index.Entries[key]
-	if e == nil {
-		return nil, nil, false
-	}
-	if !e.HasOutput {
-		return e, nil, true
-	}
-	out, err := os.ReadFile(filepath.Join(c.dir, "blobs", key))
-	if err != nil {
-		return nil, nil, false
-	}
-	return e, out, true
-}
-
-// lookupSema returns the cached sema outcome for a unit key.
-func (c *cache) lookupSema(key string) (*semaCacheEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
-	e := c.index.Sema[key]
-	return e, e != nil
-}
-
-// storeBlob content-addresses out under the key. Writes go through a
-// unique temp file + rename so two workers transforming identical content
-// (same key) cannot interleave partial writes.
-func (c *cache) storeBlob(key string, out []byte, tmpTag int) error {
-	if c == nil {
-		return nil
-	}
-	dir := filepath.Join(c.dir, "blobs")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	final := filepath.Join(dir, key)
-	if _, err := os.Stat(final); err == nil {
-		return nil // already present: content-addressed, so identical
-	}
-	tmp := fmt.Sprintf("%s.tmp%d", final, tmpTag)
-	if err := os.WriteFile(tmp, out, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, final)
-}
-
-// save atomically rewrites index.json as the union of the loaded index and
-// the run's results (transform entries and sema unit entries), so entries
-// for content no longer present (an edited file's previous version)
-// survive and a content revert is a hit again.
-func (c *cache) save(files []*FileResult, semaEntries map[string]*semaCacheEntry) error {
-	if c == nil {
-		return nil
-	}
-	idx := cacheIndex{Format: cacheFormat, Entries: c.index.Entries, Sema: c.index.Sema}
-	if idx.Entries == nil {
-		idx.Entries = make(map[string]*cacheEntry, len(files))
-	}
-	for _, f := range files {
-		idx.Entries[f.Key] = &cacheEntry{
-			Rel:       f.Rel,
-			HasOutput: f.Output != nil,
-			Changed:   f.Changed,
-			Diags:     f.Diags,
-		}
-	}
-	if len(semaEntries) > 0 {
-		if idx.Sema == nil {
-			idx.Sema = make(map[string]*semaCacheEntry, len(semaEntries))
-		}
-		for k, e := range semaEntries {
-			idx.Sema[k] = e
-		}
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(&idx, "", "\t")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(c.dir, "index.json.tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(c.dir, "index.json"))
+	return sha256.Sum256(pre)
 }

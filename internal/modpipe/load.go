@@ -21,13 +21,24 @@ import (
 // ends the module like a nested-module boundary does — and the rest of the
 // pipeline only needs per-file units, so swapping a real packages.Load in
 // later only replaces this function.
-func DiscoverFiles(root string) ([]string, error) {
+func DiscoverFiles(root string) ([]string, error) { return discover(root) }
+
+// discover is DiscoverFiles less skip: a run's own mirror and cache.
+func discover(root string, skip ...string) ([]string, error) {
 	info, err := os.Stat(root)
 	if err != nil {
 		return nil, err
 	}
 	if !info.IsDir() {
 		return nil, fmt.Errorf("modpipe: %s is not a directory", root)
+	}
+	pruned := map[string]bool{} // skip, as the walk below spells its paths
+	absRoot, _ := filepath.Abs(root)
+	for _, dir := range skip {
+		abs, _ := filepath.Abs(dir)
+		if rel, rerr := filepath.Rel(absRoot, abs); rerr == nil && dir != "" && filepath.IsLocal(rel) {
+			pruned[filepath.Join(root, rel)] = true
+		}
 	}
 	var files []string
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -39,7 +50,7 @@ func DiscoverFiles(root string) ([]string, error) {
 			if path == root {
 				return nil
 			}
-			if name == "vendor" || name == "testdata" ||
+			if name == "vendor" || name == "testdata" || pruned[path] ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 				return filepath.SkipDir
 			}

@@ -23,9 +23,9 @@
 //     transformer panic into a positioned DiagInternal diagnostic for that
 //     file; the run continues and the process exit code reflects it.
 //   - Incremental rebuilds: with a cache directory configured, a file
-//     whose content hash (SHA-256 of source + transformer version, see
-//     cache.go) matches the index replays its recorded output and
-//     diagnostics without parsing anything, so warm runs over an
+//     whose content key (SHA-256 of source + transformer version, see
+//     cache.go) has a record in the cache log replays its recorded output
+//     and diagnostics without parsing anything, so warm runs over an
 //     unchanged module do near-zero work and touching one file
 //     re-transforms exactly one file.
 package modpipe
@@ -33,6 +33,7 @@ package modpipe
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"go/parser"
 	"go/token"
@@ -127,14 +128,11 @@ func Run(root string, opts Options) (*Result, error) {
 	semaMode := opts.Sema
 	opts.Transform.Sema = sema.Off
 
-	rels, err := DiscoverFiles(root)
+	rels, err := discover(root, opts.OutDir, opts.CacheDir)
 	if err != nil {
 		return nil, err
 	}
-	var c *cache
-	if opts.CacheDir != "" {
-		c = openCache(opts.CacheDir)
-	}
+	c := openCache(opts.CacheDir)
 	if opts.OutDir != "" {
 		if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
 			return nil, err
@@ -145,17 +143,15 @@ func Run(root string, opts Options) (*Result, error) {
 	// One error slot per unit: worker-side I/O failures surface after the
 	// join as a real error, not a diagnostic.
 	errs := make([]error, len(rels))
-	tkey := transformOptsKey{pkg: opts.Transform.Package, imp: opts.Transform.ImportPath}
 	parOpts := []any{gomp.Schedule(gomp.Steal, 0)}
 	if opts.Workers > 0 {
 		parOpts = append(parOpts, gomp.NumThreads(opts.Workers))
 	}
 
-	// Read phase: every source up front, in parallel — the sema phase
-	// groups files into package units before any per-file work runs.
-	srcs := make([][]byte, len(rels))
+	// Read phase, parallel: each source is read, hashed once, keyed, probed.
+	units := make([]unit, len(rels))
 	gomp.ParallelFor(len(rels), func(i int, _ *gomp.Thread) {
-		srcs[i], errs[i] = os.ReadFile(filepath.Join(root, filepath.FromSlash(rels[i])))
+		errs[i] = units[i].load(root, rels[i], opts.Transform, c)
 	}, parOpts...)
 	if err := firstErr(rels, errs); err != nil {
 		return nil, err
@@ -163,50 +159,48 @@ func Run(root string, opts Options) (*Result, error) {
 
 	// Sema phase: type-check package units, replaying cached unit
 	// outcomes; yields the aggregated findings (at their mode's
-	// severity), the strict-mode blocked set and the new cache entries.
+	// severity), the strict-mode blocked set and the new cache records.
 	var blocked map[string]bool
-	var semaEntries map[string]*semaCacheEntry
+	var log []byte
 	if semaMode != sema.Off {
 		var semaDiags directive.DiagnosticList
-		semaDiags, blocked, semaEntries = runSemaPhase(res, rels, srcs, semaMode, opts, c, parOpts)
+		semaDiags, blocked, log = runSemaPhase(res, units, semaMode, opts, c, parOpts)
 		res.Diags = append(res.Diags, semaDiags...)
 	}
 
 	// Transform phase.
-	body := func(i int, _ *gomp.Thread) {
-		res.Files[i], errs[i] = runUnit(rels[i], srcs[i], opts, tkey, c, i, blocked[rels[i]])
-	}
-	gomp.ParallelFor(len(rels), body, parOpts...)
+	gomp.ParallelFor(len(rels), func(i int, _ *gomp.Thread) {
+		res.Files[i], errs[i] = runUnit(&units[i], opts, blocked[rels[i]])
+	}, parOpts...)
 	if err := firstErr(rels, errs); err != nil {
 		return nil, err
 	}
 
-	for _, f := range res.Files {
+	for i, f := range res.Files {
 		if f.CacheHit {
 			res.CacheHits++
 		} else {
 			res.Transformed++
+			if c != nil {
+				log = appendRecord(log, recFile, units[i].key, f.Rel, &units[i].entry)
+			}
 		}
 		if f.Panicked {
 			res.Panics++
 		}
 		res.Diags = append(res.Diags, f.Diags...)
-	}
-	res.Diags.Sort()
-	// A fully-warm run adds nothing to the index (hits imply their
-	// entries already exist), so skip the marshal+rewrite — the warm
-	// path's cost is then file reads, hashing and output mirroring only.
-	if c != nil && (res.Transformed > 0 || res.SemaChecked > 0) {
-		if err := c.save(res.Files, semaEntries); err != nil {
-			return nil, fmt.Errorf("modpipe: saving cache index: %w", err)
-		}
-	}
-	// Strict mode withholds blocked files' outputs from the caller; done
-	// after the cache save so the stored transform entries (which strict
-	// and warn runs share) keep recording the real result.
-	for _, f := range res.Files {
+		// Strict mode withholds a blocked file's output from the caller, but
+		// its record (which strict and warn runs share) keeps the real one.
 		if f.SemaBlocked {
 			f.Output = nil
+		}
+	}
+	res.Diags.Sort()
+	// A fully-warm run has no new record and writes nothing: its cost is
+	// file reads, hashing and output mirroring only.
+	if len(log) > 0 {
+		if err := c.append(log); err != nil {
+			return nil, fmt.Errorf("modpipe: appending to the cache log: %w", err)
 		}
 	}
 	return res, nil
@@ -222,42 +216,62 @@ func firstErr(rels []string, errs []error) error {
 	return nil
 }
 
+// unit is one file's state between the phases.
+type unit struct {
+	rel      string
+	src      []byte
+	sum, key cacheKey // SHA-256 of src — the run's one hash of it — and the content key
+	hit      bool
+	entry    // the cached outcome on a hit, the transform's on a miss
+}
+
+// load is one file's read phase: read, hash, key, probe. A hit's record
+// holds the package name the sema phase groups by; a miss parses it.
+func (u *unit) load(root, rel string, topts transform.Options, c *cache) (err error) {
+	u.rel = rel
+	if u.src, err = os.ReadFile(filepath.Join(root, filepath.FromSlash(rel))); err != nil {
+		return err
+	}
+	u.sum = sha256.Sum256(u.src)
+	u.key = contentKey(transform.Version, sema.Version, topts, rel, u.sum)
+	if e := c.lookup(recFile, u.key); e != nil {
+		u.hit, u.entry = true, *e
+	} else if f, perr := parser.ParseFile(token.NewFileSet(), rel, u.src, parser.PackageClauseOnly); perr == nil && f.Name != nil {
+		u.pkg = f.Name.Name
+	}
+	return nil
+}
+
 // semaUnit is one package-level check unit: every module file in one
 // directory sharing one package clause.
 type semaUnit struct {
-	label string            // "dir:package", e.g. "p001:p001"
-	key   string            // sema cache key (set during the phase)
-	rels  []string          // members in DiscoverFiles (sorted) order
-	files map[string][]byte // rel -> source, the sema.Check input
+	label   string   // "dir:package", e.g. "p001:p001"
+	key     cacheKey // sema cache key (set during the phase)
+	members []*unit  // in DiscoverFiles (sorted) order
 }
 
 // runSemaPhase groups files into package units, checks each unit (or
 // replays its cached outcome) in parallel, and folds the results into the
 // mode's view: strict keeps errors and computes the blocked file set,
 // warn demotes copies. Files whose package clause does not parse are
-// skipped — the transform phase owns their syntax diagnostics.
-func runSemaPhase(res *Result, rels []string, srcs [][]byte, mode sema.Mode, opts Options, c *cache, parOpts []any) (directive.DiagnosticList, map[string]bool, map[string]*semaCacheEntry) {
-	hashes := make(map[string][32]byte, len(rels))
+// skipped — the transform phase owns their syntax diagnostics. With a
+// cache, the checked units' records come back encoded, in label order.
+func runSemaPhase(res *Result, files []unit, mode sema.Mode, opts Options, c *cache, parOpts []any) (directive.DiagnosticList, map[string]bool, []byte) {
 	units := map[string]*semaUnit{}
-	for i, rel := range rels {
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, rel, srcs[i], parser.PackageClauseOnly)
-		if err != nil || f.Name == nil {
+	var ordered []*semaUnit
+	for i := range files {
+		f := &files[i]
+		if f.pkg == "" {
 			continue
 		}
-		label := path.Dir(rel) + ":" + f.Name.Name
+		label := path.Dir(f.rel) + ":" + f.pkg
 		u := units[label]
 		if u == nil {
-			u = &semaUnit{label: label, files: map[string][]byte{}}
+			u = &semaUnit{label: label}
 			units[label] = u
+			ordered = append(ordered, u)
 		}
-		u.rels = append(u.rels, rel)
-		u.files[rel] = srcs[i]
-		hashes[rel] = sha256.Sum256(srcs[i])
-	}
-	ordered := make([]*semaUnit, 0, len(units))
-	for _, u := range units {
-		ordered = append(ordered, u)
+		u.members = append(u.members, f)
 	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].label < ordered[j].label })
 	res.SemaUnits = len(ordered)
@@ -267,27 +281,33 @@ func runSemaPhase(res *Result, rels []string, srcs [][]byte, mode sema.Mode, opt
 	hits := make([]bool, len(ordered))
 	gomp.ParallelFor(len(ordered), func(i int, _ *gomp.Thread) {
 		u := ordered[i]
-		u.key = semaUnitKey(sema.Version, u.label, u.rels, hashes)
-		if e, ok := c.lookupSema(u.key); ok {
+		u.key = semaUnitKey(sema.Version, u.label, u.members)
+		if e := c.lookup(recSema, u.key); e != nil {
 			hits[i] = true
-			results[i] = directive.DiagnosticList(e.Diags)
+			results[i] = e.diags
 			return
 		}
 		if opts.OnSemaCheck != nil {
 			opts.OnSemaCheck(u.label)
 		}
-		results[i] = sema.Check(u.files).Diagnose()
+		srcs := make(map[string][]byte, len(u.members))
+		for _, m := range u.members {
+			srcs[m.rel] = m.src
+		}
+		results[i] = sema.Check(srcs).Diagnose()
 	}, parOpts...)
 
 	var diags directive.DiagnosticList
+	var log []byte
 	blocked := map[string]bool{}
-	entries := map[string]*semaCacheEntry{}
 	for i, u := range ordered {
 		if hits[i] {
 			res.SemaCacheHits++
 		} else {
 			res.SemaChecked++
-			entries[u.key] = &semaCacheEntry{Label: u.label, Diags: results[i]}
+			if c != nil {
+				log = appendRecord(log, recSema, u.key, u.label, &entry{diags: results[i]})
+			}
 		}
 		if mode == sema.Strict {
 			for _, d := range results[i] {
@@ -300,36 +320,25 @@ func runSemaPhase(res *Result, rels []string, srcs [][]byte, mode sema.Mode, opt
 			diags = append(diags, sema.Demote(results[i])...)
 		}
 	}
-	return diags, blocked, entries
+	return diags, blocked, log
 }
 
-// runUnit is one file's transform unit: key, cache probe, transform under
-// the recover boundary, blob store, output mirror. blocked marks a file
-// withheld by strict sema: its transform (and cache entry) proceed
+// runUnit is one file's transform unit: replay the hit or transform under
+// the recover boundary, then mirror the output. blocked marks a file
+// withheld by strict sema: its transform (and cache record) proceed
 // normally but no mirror is written.
-func runUnit(rel string, src []byte, opts Options, tkey transformOptsKey, c *cache, idx int, blocked bool) (*FileResult, error) {
-	fr := &FileResult{Rel: rel, Key: contentKey(transform.Version, sema.Version, tkey, rel, src), SemaBlocked: blocked}
-
-	if e, blob, ok := c.lookup(fr.Key); ok {
-		fr.CacheHit = true
-		fr.Output = blob
-		fr.Changed = e.Changed
-		fr.Diags = directive.DiagnosticList(e.Diags)
-		fr.Panicked = hasInternal(fr.Diags)
-	} else {
+func runUnit(u *unit, opts Options, blocked bool) (*FileResult, error) {
+	if !u.hit {
 		if opts.OnTransform != nil {
-			opts.OnTransform(rel)
+			opts.OnTransform(u.rel)
 		}
-		fr.Output, fr.Changed, fr.Diags, fr.Panicked = TransformOne(rel, src, opts.Transform)
-		if fr.Output != nil {
-			if err := c.storeBlob(fr.Key, fr.Output, idx); err != nil {
-				return nil, err
-			}
-		}
+		u.out, _, u.diags, u.panicked = TransformOne(u.rel, u.src, opts.Transform)
 	}
+	fr := &FileResult{Rel: u.rel, Key: hex.EncodeToString(u.key[:]), CacheHit: u.hit, SemaBlocked: blocked,
+		Output: u.out, Changed: u.out != nil && !bytes.Equal(u.out, u.src), Panicked: u.panicked, Diags: u.diags}
 
 	if opts.OutDir != "" && fr.Output != nil && !blocked {
-		dst := filepath.Join(opts.OutDir, filepath.FromSlash(rel))
+		dst := filepath.Join(opts.OutDir, filepath.FromSlash(u.rel))
 		// Warm runs mirror into an out tree that usually already matches;
 		// leaving an identical file untouched halves the warm I/O and
 		// keeps downstream build mtimes stable.
@@ -395,16 +404,6 @@ func asDiagnostics(name string, err error) directive.DiagnosticList {
 			Msg: err.Error(),
 		}}
 	}
-}
-
-// hasInternal reports whether the list carries a recovered-panic marker.
-func hasInternal(l directive.DiagnosticList) bool {
-	for _, d := range l {
-		if d.Kind == directive.DiagInternal {
-			return true
-		}
-	}
-	return false
 }
 
 // firstLines trims a stack trace for diagnostic embedding.

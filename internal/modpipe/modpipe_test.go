@@ -1,11 +1,13 @@
 package modpipe
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -129,7 +131,7 @@ func TestNeverPanicWorkerSweep(t *testing.T) {
 
 // digestResult flattens a run into comparable strings: a content digest of
 // every output file and the diagnostic list rendered in order.
-func digestResult(t *testing.T, res *Result, outDir string) (outputs string, diags string) {
+func digestResult(t testing.TB, res *Result, outDir string) (outputs string, diags string) {
 	t.Helper()
 	h := sha256.New()
 	for _, f := range res.Files {
@@ -205,7 +207,8 @@ func countingHook() (func(string), func() []string) {
 // TestIncrementalCache walks the cache contract end to end: cold run
 // transforms everything; warm run transforms nothing; touching one file
 // re-transforms exactly that file; reverting the content restores the
-// hit; corrupting the index is cold, not fatal.
+// hit; a log in another format is cold, not fatal. Whatever ran, the cache
+// directory holds one regular file: no per-entry file exists.
 func TestIncrementalCache(t *testing.T) {
 	root, m := genCorpus(t, 80, 5)
 	cacheDir := filepath.Join(t.TempDir(), "cache")
@@ -214,6 +217,10 @@ func TestIncrementalCache(t *testing.T) {
 		res, err := Run(root, Options{Workers: 4, CacheDir: cacheDir, OnTransform: hook})
 		if err != nil {
 			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(cacheDir)
+		if err != nil || len(ents) != 1 || !ents[0].Type().IsRegular() || ents[0].Name() != logName {
+			t.Fatalf("cache directory must hold exactly the log, got %v (err %v)", ents, err)
 		}
 		return res, got()
 	}
@@ -259,20 +266,35 @@ func TestIncrementalCache(t *testing.T) {
 		t.Fatalf("after reverting %s, re-transformed %v, want none", victim, transformed)
 	}
 
-	// Corrupted index: treated as cold, never fatal.
-	if err := os.WriteFile(filepath.Join(cacheDir, "index.json"), []byte("{not json"), 0o644); err != nil {
+	// A log in a format this build does not know (here: an older layout's
+	// index): treated as cold, never fatal, and replaced.
+	if err := os.WriteFile(filepath.Join(cacheDir, logName), []byte(`{"format": "gompcc-cache-v1", "entries": {}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	res, transformed := run()
 	if len(transformed) != len(m.Files) {
-		t.Fatalf("corrupted index: re-transformed %d files, want all %d", len(transformed), len(m.Files))
+		t.Fatalf("unknown-format log: re-transformed %d files, want all %d", len(transformed), len(m.Files))
 	}
 	if res.Diags.Error() != coldDiags {
-		t.Error("post-corruption run produced different diagnostics")
+		t.Error("run over an unknown-format log produced different diagnostics")
 	}
 	// ...and the rewritten cache works again.
 	if _, transformed = run(); len(transformed) != 0 {
-		t.Fatalf("cache did not recover after corruption: re-transformed %v", transformed)
+		t.Fatalf("cache did not recover: re-transformed %v", transformed)
+	}
+
+	// The log is written after the join from the ordered results: another
+	// worker count writes the same bytes.
+	healed, err := os.ReadFile(filepath.Join(cacheDir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialDir := filepath.Join(t.TempDir(), "cache-w1")
+	if _, err := Run(root, Options{Workers: 1, CacheDir: serialDir}); err != nil {
+		t.Fatal(err)
+	}
+	if serial, err := os.ReadFile(filepath.Join(serialDir, logName)); err != nil || !bytes.Equal(serial, healed) {
+		t.Errorf("cache logs written at 1 and 4 workers differ (err %v)", err)
 	}
 }
 
@@ -297,42 +319,39 @@ func TestCacheVersionBump(t *testing.T) {
 	// moves for any content when the version moves, which is exactly the
 	// wholesale invalidation Run performs (it recomputes keys with the
 	// compiled-in version and misses on every entry).
-	src := []byte("package p\n")
-	tkey := transformOptsKey{pkg: "gomp", imp: "repro"}
-	if contentKey(transform.Version, sema.Version, tkey, "a.go", src) == contentKey(transform.Version+"-next", sema.Version, tkey, "a.go", src) {
+	sum := sha256.Sum256([]byte("package p\n"))
+	tkey := transform.Options{Package: "gomp", ImportPath: "repro"}
+	base := contentKey(transform.Version, sema.Version, tkey, "a.go", sum)
+	if base == contentKey(transform.Version+"-next", sema.Version, tkey, "a.go", sum) {
 		t.Fatal("contentKey ignores the transformer version")
 	}
 	// Bumping the sema version must invalidate warm entries wholesale too.
-	if contentKey(transform.Version, sema.Version, tkey, "a.go", src) == contentKey(transform.Version, sema.Version+"-next", tkey, "a.go", src) {
+	if base == contentKey(transform.Version, sema.Version+"-next", tkey, "a.go", sum) {
 		t.Fatal("contentKey ignores the sema version")
 	}
 	// And the facade options are part of the key too.
-	if contentKey(transform.Version, sema.Version, tkey, "a.go", src) == contentKey(transform.Version, sema.Version, transformOptsKey{pkg: "omp", imp: "other"}, "a.go", src) {
+	if base == contentKey(transform.Version, sema.Version, transform.Options{Package: "omp", ImportPath: "other"}, "a.go", sum) {
 		t.Fatal("contentKey ignores transform options")
 	}
 
-	// Rewrite the index as if an older transformer had written it (all
-	// keys moved); the next run must be fully cold.
-	idxPath := filepath.Join(cacheDir, "index.json")
-	buf, err := os.ReadFile(idxPath)
-	if err != nil {
+	// Rewrite the log as an older transformer would have written it: the
+	// same well-formed records, every one under the key that version
+	// derives. The next run must be fully cold.
+	logPath := filepath.Join(cacheDir, logName)
+	c := openCache(cacheDir)
+	var stale []byte
+	for _, r := range logRecords(t, readFile(t, logPath)) {
+		e := c.lookup(recFile, r.key)
+		if e == nil {
+			t.Fatalf("record %s does not load", r.name)
+		}
+		stale = appendRecord(stale, recFile, contentKey("0.old", sema.Version, tkey, r.name, r.key), r.name, e)
+	}
+	if err := os.WriteFile(logPath, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var idx cacheIndex
-	if err := json.Unmarshal(buf, &idx); err != nil {
-		t.Fatal(err)
-	}
-	stale := cacheIndex{Format: idx.Format, Entries: map[string]*cacheEntry{}}
-	for k, e := range idx.Entries {
-		// Re-key every entry as an older transformer version would have.
-		stale.Entries[contentKey("0.old", sema.Version, tkey, e.Rel, []byte(k))] = e
-	}
-	rewritten, err := json.Marshal(&stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(idxPath, rewritten, 0o644); err != nil {
-		t.Fatal(err)
+	if c := openCache(cacheDir); len(c.recs) != len(m.Files) || c.valid != len(stale) {
+		t.Fatalf("re-keyed log must load whole: %d records, %d of %d bytes", len(c.recs), c.valid, len(stale))
 	}
 	hook2, got2 := countingHook()
 	if _, err := Run(root, Options{CacheDir: cacheDir, OnTransform: hook2}); err != nil {
@@ -343,31 +362,185 @@ func TestCacheVersionBump(t *testing.T) {
 	}
 }
 
-// TestMissingBlobIsCold proves a lost blob demotes just that file to a
-// miss instead of failing the run.
-func TestMissingBlobIsCold(t *testing.T) {
-	root, m := genCorpus(t, 30, 13)
-	cacheDir := filepath.Join(t.TempDir(), "cache")
-	if _, err := Run(root, Options{CacheDir: cacheDir}); err != nil {
-		t.Fatal(err)
-	}
-	blobs, err := os.ReadDir(filepath.Join(cacheDir, "blobs"))
-	if err != nil || len(blobs) == 0 {
-		t.Fatalf("expected blobs after cold run (err=%v, n=%d)", err, len(blobs))
-	}
-	if err := os.Remove(filepath.Join(cacheDir, "blobs", blobs[0].Name())); err != nil {
-		t.Fatal(err)
-	}
-	hook, got := countingHook()
-	res, err := Run(root, Options{CacheDir: cacheDir, OnTransform: hook})
+func readFile(t testing.TB, path string) []byte {
+	t.Helper()
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(got()); n != 1 {
-		t.Fatalf("after deleting one blob, %d/%d files re-transformed; want exactly the blob's file (keys include the path, so blobs are per-file)", n, len(m.Files))
+	return buf
+}
+
+// logRec is one record of a cache log as logRecords finds it.
+type logRec struct {
+	off, end int
+	kind     byte
+	key      cacheKey
+	name     string // relative path or unit label
+}
+
+// logRecords walks an intact log by its length fields alone: the loader is
+// the code under test, so the damage tests place their cuts with this.
+func logRecords(t testing.TB, buf []byte) []logRec {
+	t.Helper()
+	var recs []logRec
+	for off := 0; off < len(buf); {
+		if len(buf)-off < recHeader+recFixed {
+			t.Fatalf("log ends inside a record at %d of %d", off, len(buf))
+		}
+		p := buf[off+recHeader:]
+		r := logRec{off: off, end: off + recHeader + int(le.Uint32(buf[off+4:])), kind: p[0], key: cacheKey(p[2:34])}
+		r.name = string(p[recFixed : recFixed+int(le.Uint32(p[34:]))])
+		recs = append(recs, r)
+		off = r.end
 	}
-	if res.CacheHits+res.Transformed != len(m.Files) {
-		t.Fatalf("hits %d + transformed %d != %d files", res.CacheHits, res.Transformed, len(m.Files))
+	return recs
+}
+
+// TestCacheLogDamage cuts the log at seeded offsets (a record boundary,
+// inside a header, inside a payload) and flips a seeded byte: each run
+// over the damage is correct, redoes exactly the records at and after it —
+// units re-checked for sema records, files re-transformed for file records
+// — and heals the log to its intact bytes, so the run after is fully warm.
+func TestCacheLogDamage(t *testing.T) {
+	root, m := genCorpus(t, 60, 5)
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	logPath := filepath.Join(cacheDir, logName)
+	run := func() (*Result, []string, []string) {
+		thook, transformed := countingHook()
+		shook, checked := countingHook()
+		res, err := Run(root, Options{Workers: 4, CacheDir: cacheDir, Sema: sema.Strict,
+			OnTransform: thook, OnSemaCheck: shook})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, ch := transformed(), checked()
+		sort.Strings(tr)
+		sort.Strings(ch)
+		return res, tr, ch
+	}
+	cold, _, _ := run()
+	wantOut, wantDiags := digestResult(t, cold, "")
+	intact := readFile(t, logPath)
+	recs := logRecords(t, intact)
+	units := cold.SemaUnits
+	if len(recs) != units+len(m.Files) || recs[units-1].kind != recSema || recs[units].kind != recFile {
+		t.Fatalf("cold log: %d records, want %d sema then %d file", len(recs), units, len(m.Files))
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	damages := []struct {
+		name  string
+		apply func(r logRec) []byte
+	}{
+		{"cut at a record boundary", func(r logRec) []byte { return intact[:r.off] }},
+		{"cut inside a header", func(r logRec) []byte { return intact[:r.off+1+rng.Intn(recHeader-1)] }},
+		{"cut inside a payload", func(r logRec) []byte { return intact[:r.off+recHeader+rng.Intn(r.end-r.off-recHeader)] }},
+		{"flipped byte", func(r logRec) []byte {
+			b := bytes.Clone(intact)
+			b[r.off+rng.Intn(r.end-r.off)] ^= 1 << rng.Intn(8)
+			return b
+		}},
+	}
+	for _, d := range damages {
+		// One cut among the sema records, two among the file records.
+		for _, k := range []int{rng.Intn(units), units + rng.Intn(len(m.Files)), units + rng.Intn(len(m.Files))} {
+			if err := os.WriteFile(logPath, d.apply(recs[k]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var wantChecked, wantTransformed []string
+			for _, r := range recs[k:] {
+				if r.kind == recSema {
+					wantChecked = append(wantChecked, r.name)
+				} else {
+					wantTransformed = append(wantTransformed, r.name)
+				}
+			}
+			sort.Strings(wantChecked)
+			sort.Strings(wantTransformed)
+			res, transformed, checked := run()
+			if fmt.Sprint(transformed) != fmt.Sprint(wantTransformed) || fmt.Sprint(checked) != fmt.Sprint(wantChecked) {
+				t.Fatalf("%s, record %d of %d: re-checked %d units and re-transformed %d files, want %d and %d (exactly the records at and after the damage)",
+					d.name, k, len(recs), len(checked), len(transformed), len(wantChecked), len(wantTransformed))
+			}
+			if out, diags := digestResult(t, res, ""); out != wantOut || diags != wantDiags {
+				t.Fatalf("%s, record %d: run over the damaged log differs from the cold run", d.name, k)
+			}
+			if !bytes.Equal(readFile(t, logPath), intact) {
+				t.Fatalf("%s, record %d: the log did not heal to its intact bytes", d.name, k)
+			}
+			if _, transformed, checked = run(); len(transformed)+len(checked) != 0 {
+				t.Fatalf("%s, record %d: run after the healing one redid %d files and %d units", d.name, k, len(transformed), len(checked))
+			}
+		}
+	}
+}
+
+// TestConcurrentRunsShareCache runs two pipelines at once on one cold cache
+// directory: both succeed and reproduce the one-worker build, and the log
+// they leave is whole — the next run is correct and fully warm.
+func TestConcurrentRunsShareCache(t *testing.T) {
+	root, m := genCorpus(t, 60, 21)
+	oracle, err := Run(root, Options{Workers: 1, Sema: sema.Strict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOut, wantDiags := digestResult(t, oracle, "")
+	opts := Options{Workers: 2, CacheDir: filepath.Join(t.TempDir(), "cache"), Sema: sema.Strict}
+
+	var results [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Run(root, opts)
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
+		}
+		if out, diags := digestResult(t, res, ""); out != wantOut || diags != wantDiags {
+			t.Errorf("concurrent run %d differs from the Workers:1 build", i)
+		}
+	}
+	next, err := Run(root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.CacheHits != len(m.Files) || next.Transformed != 0 || next.SemaChecked != 0 {
+		t.Errorf("run after the concurrent pair: %d hits, %d transformed, %d units checked; want fully warm", next.CacheHits, next.Transformed, next.SemaChecked)
+	}
+	if out, diags := digestResult(t, next, ""); out != wantOut || diags != wantDiags {
+		t.Error("run after the concurrent pair differs from the Workers:1 build")
+	}
+}
+
+// TestRunSkipsOwnOutputs: with the mirror and the cache inside the module,
+// the next run must not discover what the last one wrote.
+func TestRunSkipsOwnOutputs(t *testing.T) {
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "main.go"), []byte("package main\n\nfunc main() {}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{OutDir: filepath.Join(root, "out"), CacheDir: filepath.Join(root, "cache")}
+	for i := 1; i <= 3; i++ {
+		res, err := Run(root, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Files) != 1 || res.Files[0].Rel != "main.go" {
+			t.Fatalf("run %d saw %d files, want main.go alone", i, len(res.Files))
+		}
+		if _, err := os.Stat(filepath.Join(root, "out", "main.go")); err != nil {
+			t.Fatalf("run %d: mirror missing: %v", i, err)
+		}
+		if _, err := os.Stat(filepath.Join(root, "out", "out")); err == nil {
+			t.Fatalf("run %d mirrored its own mirror", i)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package modpipe
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -141,9 +140,8 @@ func TestSemaWarnModuleDoesNotBlock(t *testing.T) {
 // TestSemaCacheIncremental walks the sema half of the cache contract:
 // cold checks every unit; warm checks none and replays identical
 // diagnostics; a pure comment edit in one file re-checks exactly that
-// file's package unit while re-transforming only the edited file; an
-// index written before the sema stage existed is sema-cold but
-// transform-warm.
+// file's package unit while re-transforming only the edited file; a
+// cache written by sema-off runs is sema-cold but transform-warm.
 func TestSemaCacheIncremental(t *testing.T) {
 	root, m := genCorpus(t, 60, 5)
 	cacheDir := filepath.Join(t.TempDir(), "cache")
@@ -204,51 +202,40 @@ func TestSemaCacheIncremental(t *testing.T) {
 		t.Fatalf("comment edit re-transformed %v, want exactly %s", transformed, victim)
 	}
 
-	// An index predating the sema stage (no "sema" section): sema-cold,
-	// transform-warm, never fatal.
+	// A cache that only sema-off runs have written holds file records and
+	// no unit records: sema-cold, transform-warm.
 	if err := os.WriteFile(victimPath, orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	idxPath := filepath.Join(cacheDir, "index.json")
-	buf, err := os.ReadFile(idxPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(buf, &raw); err != nil {
-		t.Fatal(err)
-	}
-	delete(raw, "sema")
-	stripped, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(idxPath, stripped, 0o644); err != nil {
+	cacheDir = filepath.Join(t.TempDir(), "cache-sema-off")
+	if _, err := Run(root, Options{Workers: 4, CacheDir: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
 	res, transformed, checked := run()
 	if len(checked) != res.SemaUnits {
-		t.Fatalf("pre-sema index: re-checked %d units, want all %d", len(checked), res.SemaUnits)
+		t.Fatalf("sema-off cache: re-checked %d units, want all %d", len(checked), res.SemaUnits)
 	}
 	if len(transformed) != 0 {
-		t.Fatalf("pre-sema index: re-transformed %d files, want 0 (transform entries are intact)", len(transformed))
+		t.Fatalf("sema-off cache: re-transformed %d files, want 0 (file records are mode-independent)", len(transformed))
 	}
 	if res.Diags.Error() != coldDiags {
 		t.Error("sema-cold run produced different diagnostics")
+	}
+	if _, transformed, checked = run(); len(transformed)+len(checked) != 0 {
+		t.Fatalf("run after the sema-cold one redid %d files and %d units", len(transformed), len(checked))
 	}
 }
 
 // TestSemaUnitKeyMoves pins the unit key's inputs: the sema version and
 // any member file's content each move the key.
 func TestSemaUnitKeyMoves(t *testing.T) {
-	hashes := map[string][32]byte{"p/a.go": {1}, "p/b.go": {2}}
-	rels := []string{"p/a.go", "p/b.go"}
-	base := semaUnitKey(sema.Version, "p:p", rels, hashes)
-	if semaUnitKey(sema.Version+"-next", "p:p", rels, hashes) == base {
+	a, b := &unit{rel: "p/a.go", sum: cacheKey{1}}, &unit{rel: "p/b.go", sum: cacheKey{2}}
+	base := semaUnitKey(sema.Version, "p:p", []*unit{a, b})
+	if semaUnitKey(sema.Version+"-next", "p:p", []*unit{a, b}) == base {
 		t.Error("unit key ignores the sema version")
 	}
-	edited := map[string][32]byte{"p/a.go": {1}, "p/b.go": {3}}
-	if semaUnitKey(sema.Version, "p:p", rels, edited) == base {
+	edited := &unit{rel: "p/b.go", sum: cacheKey{3}}
+	if semaUnitKey(sema.Version, "p:p", []*unit{a, edited}) == base {
 		t.Error("unit key ignores member file content")
 	}
 }
