@@ -11,20 +11,26 @@ import "repro/internal/trace"
 // thread was the one that executed fn.
 func (t *Thread) Single(fn func(), opts ...ForOption) bool {
 	cfg := buildForConfig(opts)
-	seq, e := t.construct()
-	if e == nil {
+	if t.team == nil {
 		fn()
 		return true
 	}
-	won := e.TrySingle()
+	won := t.trySingle()
 	if won {
 		fn()
 	}
 	if !cfg.nowait {
 		t.Barrier()
 	}
-	t.team.Retire(seq, e)
 	return won
+}
+
+// trySingle claims the thread's next single construct: each member counts
+// the singles it meets and races the others to advance the team's counter
+// to that count (kmp.Team.TrySingle), so no per-construct state is needed.
+func (t *Thread) trySingle() bool {
+	t.singles++
+	return t.team.TrySingle(t.singles)
 }
 
 // SingleCopy is single with a copyprivate clause: the winner's fn computes a
@@ -35,7 +41,7 @@ func (t *Thread) SingleCopy(fn func() any) any {
 	if e == nil {
 		return fn()
 	}
-	if e.TrySingle() {
+	if t.trySingle() {
 		e.SetCopyPrivate(fn())
 	}
 	v := e.CopyPrivate()

@@ -50,55 +50,31 @@ func (t *Thread) ForDoacross(loops []sched.Loop, body func(ix []int64, d *Doacro
 	}
 	trips, ix, base := t.nestFrame(len(loops))
 	trip := sched.NestTrips(loops, trips)
-
-	seq, e := t.construct()
+	if t.team != nil && sched.Resolve(cfg.sched, t.rt.pool.ICVs()).Kind == icv.StealSched {
+		panic("gomp: ForDoacross requires a monotonic schedule; schedule(nonmonotonic:dynamic) may run an iteration before a same-thread predecessor it depends on")
+	}
+	// ordered(n): the sink flags live on the construct's ring entry.
+	cfg.ordered = true
+	w := t.walk(trip, cfg)
 	// Saved/restored like ForOrdered's ctx and the nestFrame stack, so a
 	// doacross loop nested inside another loop's body on the same Thread
 	// cannot clobber the outer iteration's live ctx (k/posted) state.
 	d := &t.doaScratch
 	savedCtx := *d
-	if e == nil {
-		// Sequential context: program order satisfies every sink (sinks
-		// name lexicographically earlier iterations), so Wait and Post
-		// degenerate to no-ops.
-		d.arm(t, nil, len(loops))
-		for k := int64(0); k < trip; k++ {
-			sched.DelinearizeNest(loops, trips, k, ix)
-			d.k, d.posted = k, false
-			body(ix, d)
-		}
-		*d = savedCtx
-		t.nestBase = base
-		return
-	}
-	resolved := sched.Resolve(cfg.sched, t.rt.pool.ICVs())
-	if resolved.Kind == icv.StealSched {
-		panic("gomp: ForDoacross requires a monotonic schedule; schedule(nonmonotonic:dynamic) may run an iteration before a same-thread predecessor it depends on")
-	}
-	if t.team.N() == 1 {
-		// A team of one executes a monotonic schedule in ascending logical
-		// order, so program order satisfies every sink — skip the flag
-		// protocol entirely, as libomp's __kmpc_doacross_init does for
-		// single-thread teams.
-		d.arm(t, nil, len(loops))
+	if w.e != nil && t.team.N() > 1 {
+		w.e.DoacrossInit(loops, trips, trip)
+		d.arm(t, w.e, len(loops))
 	} else {
-		e.DoacrossInit(loops, trips, trip)
-		d.arm(t, e, len(loops))
+		// A sequential context or a team of one executes the loop in
+		// ascending logical order, so program order satisfies every sink
+		// (sinks name lexicographically earlier iterations): Wait and Post
+		// degenerate to no-ops, as libomp's __kmpc_doacross_init skips the
+		// flag protocol for single-thread teams.
+		d.arm(t, nil, len(loops))
 	}
-	s := e.LoopSched(resolved, trip, t.team.N())
-	for {
-		if t.team.Cancelled() {
-			break
-		}
-		chunk, ok := s.Next(t.tid)
-		if !ok {
-			break
-		}
-		if trace.Enabled() {
-			trace.Emit(trace.EvLoopChunk, t.GlobalID(), chunk.Len())
-		}
-		for k := chunk.Begin; k < chunk.End; k++ {
-			if k > chunk.Begin && t.team.Cancelled() {
+	for lo, hi, ok := w.next(); ok; lo, hi, ok = w.next() {
+		for k := lo; k < hi; k++ {
+			if k > lo && t.CancellationPoint() {
 				break
 			}
 			sched.DelinearizeNest(loops, trips, k, ix)
@@ -110,8 +86,7 @@ func (t *Thread) ForDoacross(loops []sched.Loop, body func(ix []int64, d *Doacro
 			}
 		}
 	}
-	t.Barrier()
-	t.team.Retire(seq, e)
+	w.end(false)
 	*d = savedCtx
 	t.nestBase = base
 }

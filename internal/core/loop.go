@@ -9,8 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
-// ForOption configures a worksharing loop (the clauses of `omp for`).
-type ForOption func(*forConfig)
+// ForOption configures a worksharing loop (the clauses of `omp for`). An
+// option takes and returns the config by value: a pointer handed to an
+// opaque func would force the config to the heap, so a loop with clauses
+// would allocate on every call.
+type ForOption func(forConfig) forConfig
 
 type forConfig struct {
 	sched    icv.Schedule
@@ -21,39 +24,30 @@ type forConfig struct {
 
 // Schedule is the schedule clause. chunk 0 means unspecified.
 func Schedule(kind icv.ScheduleKind, chunk int) ForOption {
-	return func(c *forConfig) { c.sched = icv.Schedule{Kind: kind, Chunk: chunk}; c.hasSched = true }
+	return func(c forConfig) forConfig {
+		c.sched, c.hasSched = icv.Schedule{Kind: kind, Chunk: chunk}, true
+		return c
+	}
 }
 
 // NoWait is the nowait clause: skip the implicit barrier at loop end.
 func NoWait() ForOption {
-	return func(c *forConfig) { c.nowait = true }
+	return func(c forConfig) forConfig { c.nowait = true; return c }
 }
 
 // OrderedOpt is the ordered clause; loop bodies may then use Thread.Ordered
 // via the ForOrdered variant.
 func OrderedOpt() ForOption {
-	return func(c *forConfig) { c.ordered = true }
+	return func(c forConfig) forConfig { c.ordered = true; return c }
 }
 
 func buildForConfig(opts []ForOption) forConfig {
 	var cfg forConfig
-	// Applying options takes &cfg through opaque funcs, which forces cfg to
-	// the heap; keep that in a separate function so the common no-options
-	// call (every default-schedule loop and barrier-bearing construct in a
-	// steady-state region) allocates nothing.
-	if len(opts) > 0 {
-		cfg = applyForOpts(opts)
+	for _, o := range opts {
+		cfg = o(cfg)
 	}
 	if !cfg.hasSched {
 		cfg.sched = icv.Schedule{Kind: icv.StaticSched}
-	}
-	return cfg
-}
-
-func applyForOpts(opts []ForOption) forConfig {
-	var cfg forConfig
-	for _, o := range opts {
-		o(&cfg)
 	}
 	return cfg
 }
@@ -63,7 +57,14 @@ func applyForOpts(opts []ForOption) forConfig {
 // implicit barrier follows unless nowait is given. Must be called by every
 // member of the team (the OpenMP worksharing contract).
 func (t *Thread) For(n int, body func(i int), opts ...ForOption) {
-	t.ForLoop(sched.Loop{Begin: 0, End: int64(n), Step: 1}, func(i int64) { body(int(i)) }, opts...)
+	cfg := buildForConfig(opts)
+	w := t.walk(int64(n), cfg)
+	for lo, hi, ok := w.next(); ok; lo, hi, ok = w.next() {
+		for i := int(lo); i < int(hi); i++ {
+			body(i)
+		}
+	}
+	w.end(cfg.nowait)
 }
 
 // ForLoop is For generalised to any canonical loop (begin/end/step, step may
@@ -71,21 +72,13 @@ func (t *Thread) For(n int, body func(i int), opts ...ForOption) {
 // statements into.
 func (t *Thread) ForLoop(loop sched.Loop, body func(i int64), opts ...ForOption) {
 	cfg := buildForConfig(opts)
-	trip := loop.TripCount()
-
-	seq, e := t.construct()
-	if e == nil {
-		// Sequential context: run the whole loop in order.
-		for k := int64(0); k < trip; k++ {
+	w := t.walk(loop.TripCount(), cfg)
+	for lo, hi, ok := w.next(); ok; lo, hi, ok = w.next() {
+		for k := lo; k < hi; k++ {
 			body(loop.Iteration(k))
 		}
-		return
 	}
-	t.runChunks(e, trip, cfg, func(k int64) { body(loop.Iteration(k)) }, nil)
-	if !cfg.nowait {
-		t.Barrier()
-	}
-	t.team.Retire(seq, e)
+	w.end(cfg.nowait)
 }
 
 // ForNest is the collapse(n) worksharing loop: the perfectly nested
@@ -98,25 +91,14 @@ func (t *Thread) ForLoop(loop sched.Loop, body func(i int64), opts ...ForOption)
 func (t *Thread) ForNest(loops []sched.Loop, body func(ix []int64), opts ...ForOption) {
 	cfg := buildForConfig(opts)
 	trips, ix, base := t.nestFrame(len(loops))
-	trip := sched.NestTrips(loops, trips)
-
-	seq, e := t.construct()
-	if e == nil {
-		for k := int64(0); k < trip; k++ {
+	w := t.walk(sched.NestTrips(loops, trips), cfg)
+	for lo, hi, ok := w.next(); ok; lo, hi, ok = w.next() {
+		for k := lo; k < hi; k++ {
 			sched.DelinearizeNest(loops, trips, k, ix)
 			body(ix)
 		}
-		t.nestBase = base
-		return
 	}
-	t.runChunks(e, trip, cfg, func(k int64) {
-		sched.DelinearizeNest(loops, trips, k, ix)
-		body(ix)
-	}, nil)
-	if !cfg.nowait {
-		t.Barrier()
-	}
-	t.team.Retire(seq, e)
+	w.end(cfg.nowait)
 	t.nestBase = base
 }
 
@@ -154,35 +136,11 @@ func (t *Thread) ForChunks(n int, body func(lo, hi int), opts ...ForOption) {
 		// ordered loop.
 		panic("gomp: ForChunks cannot honour the ordered clause (ordered requires per-iteration granularity); use ForOrdered")
 	}
-	trip := int64(n)
-
-	seq, e := t.construct()
-	if e == nil {
-		if trip > 0 {
-			body(0, n)
-		}
-		return
+	w := t.walk(int64(n), cfg)
+	for lo, hi, ok := w.next(); ok; lo, hi, ok = w.next() {
+		body(int(lo), int(hi))
 	}
-	nthreads := t.team.N()
-	resolved := sched.Resolve(cfg.sched, t.rt.pool.ICVs())
-	s := e.LoopSched(resolved, trip, nthreads)
-	for {
-		if t.team.Cancelled() {
-			break
-		}
-		chunk, ok := s.Next(t.tid)
-		if !ok {
-			break
-		}
-		if trace.Enabled() {
-			trace.Emit(trace.EvLoopChunk, t.GlobalID(), chunk.Len())
-		}
-		body(int(chunk.Begin), int(chunk.End))
-	}
-	if !cfg.nowait {
-		t.Barrier()
-	}
-	t.team.Retire(seq, e)
+	w.end(cfg.nowait)
 }
 
 // OrderedCtx is the per-iteration handle for ordered regions inside a
@@ -227,73 +185,134 @@ func (o *OrderedCtx) Do(fn func()) {
 func (t *Thread) ForOrdered(n int, body func(i int, ord *OrderedCtx), opts ...ForOption) {
 	cfg := buildForConfig(opts)
 	cfg.ordered = true
-	trip := int64(n)
-
-	seq, e := t.construct()
+	w := t.walk(int64(n), cfg)
 	// The recycled ctx is saved and restored across the loop so an ordered
 	// loop nested inside another's body on the same Thread (the serialized
 	// inner-region case nestFrame also guards against) cannot clobber the
 	// outer iteration's live ctx state.
 	ord := &t.ordScratch
 	saved := *ord
-	if e == nil {
-		for k := int64(0); k < trip; k++ {
-			ord.arm(nil, nil, k)
+	for lo, hi, ok := w.next(); ok; lo, hi, ok = w.next() {
+		for k := lo; k < hi; k++ {
+			// An ordered iteration can park on its turn, so a cancelling
+			// sibling must be noticed before entering the next wait.
+			if k > lo && t.CancellationPoint() {
+				break
+			}
+			ord.arm(w.e, t.team, k)
 			body(int(k), ord)
+			if ord.consumed || w.e == nil {
+				continue
+			}
+			// The iteration executed no ordered region; release its turn so
+			// successors may proceed — unless cancellation already broke the
+			// turn chain, in which case every waiter gives up on its own.
+			if w.e.WaitOrderedTurn(k, t.team) {
+				w.e.FinishOrdered(k)
+			}
 		}
-		*ord = saved
-		return
 	}
-	t.runChunks(e, trip, cfg, nil, func(k int64) {
-		ord.arm(e, t.team, k)
-		body(int(k), ord)
-		if ord.consumed {
-			return
-		}
-		// The iteration executed no ordered region; release its turn so
-		// successors may proceed — unless cancellation already broke the
-		// turn chain, in which case every waiter gives up on its own.
-		if e.WaitOrderedTurn(k, t.team) {
-			e.FinishOrdered(k)
-		}
-	})
-	if !cfg.nowait {
-		t.Barrier()
-	}
-	t.team.Retire(seq, e)
+	w.end(cfg.nowait)
 	*ord = saved
 }
 
-// runChunks drives the shared scheduler for this thread, invoking body (or
-// orderedBody when non-nil) per iteration. Cancellation is polled between
-// chunks — every chunk boundary is a cancellation point — and, for ordered
-// bodies, between iterations too: an ordered iteration can park on its turn,
-// so a cancelling sibling must be noticed before entering the next wait.
-func (t *Thread) runChunks(e *kmp.WSEntry, trip int64, cfg forConfig, body, orderedBody func(int64)) {
-	n := t.team.N()
-	resolved := sched.Resolve(cfg.sched, t.rt.pool.ICVs())
-	s := e.LoopSched(resolved, trip, n)
-	run := body
-	if orderedBody != nil {
-		run = orderedBody
+// chunkWalk is one thread's walk over its chunks of a worksharing loop.
+// Under a static schedule the thread computes its own chunks from the trip
+// count, team size, tid and chunk size — libomp's __kmpc_for_static_init —
+// and touches no shared state; every other schedule, and any ordered loop,
+// takes chunks from the construct's shared scheduler on the worksharing
+// ring. In a sequential context the whole loop is one chunk. Callers run
+// each chunk as a direct loop, so the user body is called once per
+// iteration with no closure in between.
+type chunkWalk struct {
+	t     *Thread
+	e     *kmp.WSEntry    // ring entry; nil for a static or sequential walk
+	s     sched.Scheduler // e's shared scheduler
+	seq   int64
+	trip  int64
+	chunk int64 // static: the chunk size, 0 for one block per thread
+	taken int64 // chunks handed out so far
+}
+
+// walk starts the calling thread's part of a loop of trip iterations. The
+// static kinds are those sched.New builds static schedulers for, and the
+// walk deals their chunks to the same threads (the spec's guarantee that
+// the same trip count and team size give every thread the same iterations).
+func (t *Thread) walk(trip int64, cfg forConfig) chunkWalk {
+	w := chunkWalk{t: t, trip: trip}
+	if t.team == nil {
+		return w
 	}
-	for {
-		if t.team.Cancelled() {
-			return
+	s := sched.Resolve(cfg.sched, t.rt.pool.ICVs())
+	if !cfg.ordered && (s.Kind == icv.StaticSched || s.Kind == icv.AutoSched) {
+		w.chunk = int64(max(s.Chunk, 0))
+		return w
+	}
+	w.seq, w.e = t.construct()
+	w.s = w.e.LoopSched(s, trip, t.team.N())
+	return w
+}
+
+// next returns the thread's next chunk [lo, hi) of logical iterations, or
+// ok=false when it has none left. Every chunk boundary is a cancellation
+// point, and every chunk handed out emits one EvLoopChunk.
+func (w *chunkWalk) next() (lo, hi int64, ok bool) {
+	t := w.t
+	if t.team == nil {
+		if w.taken > 0 || w.trip <= 0 {
+			return 0, 0, false
 		}
-		chunk, ok := s.Next(t.tid)
-		if !ok {
-			return
+		w.taken++
+		return 0, w.trip, true
+	}
+	if t.team.Cancelled() {
+		return 0, 0, false
+	}
+	switch {
+	case w.s != nil:
+		c, more := w.s.Next(t.tid)
+		if !more {
+			return 0, 0, false
 		}
-		if trace.Enabled() {
-			trace.Emit(trace.EvLoopChunk, t.GlobalID(), chunk.Len())
+		lo, hi = c.Begin, c.End
+	case w.chunk == 0:
+		if w.taken > 0 {
+			return 0, 0, false
 		}
-		for k := chunk.Begin; k < chunk.End; k++ {
-			if orderedBody != nil && k > chunk.Begin && t.team.Cancelled() {
-				return
-			}
-			run(k)
-		}
+		lo, hi = sched.StaticBlockBounds(w.trip, t.team.N(), t.tid)
+	default:
+		lo, hi = staticChunk(w.trip, w.chunk, t.team.N(), t.tid, w.taken)
+	}
+	w.taken++
+	if lo >= hi {
+		return 0, 0, false
+	}
+	if trace.Enabled() {
+		trace.Emit(trace.EvLoopChunk, t.GlobalID(), hi-lo)
+	}
+	return lo, hi, true
+}
+
+// staticChunk returns the j-th chunk of thread tid under schedule(static,
+// chunk): threads take chunks round-robin, tid, tid+n, tid+2n, ..., as
+// sched's static chunked scheduler deals them. Past the end the range is
+// empty.
+func staticChunk(trip, chunk int64, nthreads, tid int, j int64) (lo, hi int64) {
+	lo = (int64(tid) + j*int64(nthreads)) * chunk
+	if lo >= trip {
+		return trip, trip
+	}
+	return lo, min(lo+chunk, trip)
+}
+
+// end closes the thread's part of the loop: the implicit barrier unless
+// nowait, then retirement of the ring entry if the loop used one.
+func (w *chunkWalk) end(nowait bool) {
+	if !nowait {
+		w.t.Barrier()
+	}
+	if w.e != nil {
+		w.t.team.Retire(w.seq, w.e)
 	}
 }
 

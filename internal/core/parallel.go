@@ -37,7 +37,10 @@ func (r *Runtime) Parallel(body func(t *Thread), opts ...ParOption) {
 // parallelFrom forks a (possibly nested) region from the given thread.
 func (r *Runtime) parallelFrom(parent *Thread, body func(t *Thread), opts ...ParOption) {
 	var cfg parConfig
-	if len(opts) > 0 { // see applyForOpts: keeps the no-clause fork heap-free
+	// Applying options takes &cfg through opaque funcs, which forces cfg
+	// to the heap; keeping that in a separate function keeps the no-clause
+	// fork heap-free.
+	if len(opts) > 0 {
 		cfg = applyParOpts(opts)
 	}
 	spec := kmp.ForkSpec{NumThreads: cfg.numThreads, Serial: cfg.hasIf && !cfg.ifClause}

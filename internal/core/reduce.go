@@ -1,6 +1,9 @@
 package core
 
 import (
+	"unsafe"
+
+	"repro/internal/kmp"
 	"repro/internal/reduction"
 	"repro/internal/sched"
 )
@@ -18,58 +21,59 @@ import (
 // that code. The implicit barrier is always taken: a reduction result
 // cannot be produced without one.
 func ReduceFor[T reduction.Number](t *Thread, n int, op reduction.Op, body func(i int, acc T) T, opts ...ForOption) T {
-	return ReduceForLoop(t, sched.Loop{Begin: 0, End: int64(n), Step: 1}, op,
-		func(i int64, acc T) T { return body(int(i), acc) }, opts...)
+	w := t.walk(int64(n), buildForConfig(opts))
+	acc := reduction.Identity[T](op)
+	for lo, hi, ok := w.next(); ok; lo, hi, ok = w.next() {
+		for i := int(lo); i < int(hi); i++ {
+			acc = body(i, acc)
+		}
+	}
+	w.end(true) // Reduce's barrier is the loop's
+	return Reduce(t, op, acc)
 }
 
 // ReduceForLoop is ReduceFor over a general canonical loop.
 func ReduceForLoop[T reduction.Number](t *Thread, loop sched.Loop, op reduction.Op, body func(i int64, acc T) T, opts ...ForOption) T {
-	cfg := buildForConfig(opts)
-	trip := loop.TripCount()
-
-	seq, e := t.construct()
-	if e == nil {
-		acc := reduction.Identity[T](op)
-		for k := int64(0); k < trip; k++ {
+	w := t.walk(loop.TripCount(), buildForConfig(opts))
+	acc := reduction.Identity[T](op)
+	for lo, hi, ok := w.next(); ok; lo, hi, ok = w.next() {
+		for k := lo; k < hi; k++ {
 			acc = body(loop.Iteration(k), acc)
 		}
-		return acc
 	}
-	acc := e.InitReduction(func() any {
-		return reduction.NewAccumulator[T](op, t.team.N())
-	}).(*reduction.Accumulator[T])
-
-	local := reduction.Identity[T](op)
-	t.runChunks(e, trip, cfg, func(k int64) {
-		local = body(loop.Iteration(k), local)
-	}, nil)
-	acc.Set(t.tid, local)
-
-	// The barrier is mandatory: all partials must be in place before any
-	// thread combines them. Each thread combines independently — the
-	// fold order is fixed, so every thread computes the same value.
-	t.Barrier()
-	result := acc.Reduce()
-	t.team.Retire(seq, e)
-	return result
+	w.end(true)
+	return Reduce(t, op, acc)
 }
 
 // Reduce performs a team-wide reduction of one value per thread, outside a
 // loop: each thread contributes v, all receive the combined result. This is
 // the reduction clause on a bare parallel construct.
+//
+// Each member publishes v in its slot of the team's reduction slots
+// (libomp's __kmpc_reduce with per-thread partials), crosses the barrier,
+// and folds every slot in member order — a fixed order, so all members
+// compute the same value. Consecutive reductions alternate slot parity,
+// which is what lets them run back to back with one barrier each (see
+// kmp.Team.ReductionSlot).
 func Reduce[T reduction.Number](t *Thread, op reduction.Op, v T) T {
-	seq, e := t.construct()
-	if e == nil {
+	if t.team == nil {
 		return v
 	}
-	acc := e.InitReduction(func() any {
-		return reduction.NewAccumulator[T](op, t.team.N())
-	}).(*reduction.Accumulator[T])
-	acc.Set(t.tid, v)
+	p := t.redParity
+	t.redParity ^= 1
+	*partial[T](t.team, p, t.tid) = v
 	t.Barrier()
-	result := acc.Reduce()
-	t.team.Retire(seq, e)
-	return result
+	acc := *partial[T](t.team, p, 0)
+	for i := 1; i < t.team.N(); i++ {
+		acc = reduction.Combine(op, acc, *partial[T](t.team, p, i))
+	}
+	return acc
+}
+
+// partial returns member tid's reduction slot of the given parity as a *T:
+// every reduction.Number is at most 8 bytes wide, the width of the slot.
+func partial[T reduction.Number](tm *kmp.Team, parity, tid int) *T {
+	return (*T)(unsafe.Pointer(tm.ReductionSlot(parity, tid)))
 }
 
 // Combine re-exports the reduction combiner so callers can fold a reduction

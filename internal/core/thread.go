@@ -13,11 +13,16 @@ type Thread struct {
 	rt   *Runtime
 	team *kmp.Team
 	tid  int
-	// wsSeq numbers the worksharing constructs this thread has
-	// encountered; all team members meet construct k with the same seq
-	// (the OpenMP same-order requirement), which is how they find the
-	// shared construct state.
+	// wsSeq numbers the ring-backed worksharing constructs (see
+	// kmp/workshare.go) this thread has encountered; all team members meet
+	// construct k with the same seq (the OpenMP same-order requirement),
+	// which is how they find the shared construct state.
 	wsSeq int64
+	// singles counts the single constructs this thread has met (the
+	// argument of kmp.Team.TrySingle); redParity is the team reduction
+	// slot parity its next reduction writes. Both restart each region.
+	singles   int64
+	redParity int
 	// curTask is the innermost explicit task being executed, nil inside
 	// the implicit task; taskwait waits on its children.
 	curTask *task.Unit

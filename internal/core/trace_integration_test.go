@@ -57,20 +57,51 @@ func TestTraceBarrierPairs(t *testing.T) {
 	})
 }
 
+// TestTraceLoopChunksCoverTripCount: every executed chunk emits exactly one
+// EvLoopChunk carrying its length, on the ring-scheduled path and on the
+// static path that computes chunks in the calling thread (block and
+// chunked), for each loop entry point. The expected chunks are the
+// non-empty ones sched.New's scheduler deals.
 func TestTraceLoopChunksCoverTripCount(t *testing.T) {
-	rt := testRuntime(4)
+	const n = 4
+	rt := testRuntime(n)
+	entries := map[string]func(th *Thread, trip int, opt ForOption){
+		"For": func(th *Thread, trip int, opt ForOption) { th.For(trip, func(int) {}, opt) },
+		"ForLoop": func(th *Thread, trip int, opt ForOption) {
+			th.ForLoop(sched.Loop{Begin: int64(trip), End: 0, Step: -1}, func(int64) {}, opt)
+		},
+		"ForChunks": func(th *Thread, trip int, opt ForOption) { th.ForChunks(trip, func(int, int) {}, opt) },
+		"ReduceFor": func(th *Thread, trip int, opt ForOption) {
+			ReduceFor(th, trip, reduction.Sum, func(i int, acc int64) int64 { return acc + 1 }, opt)
+		},
+	}
 	withRecorder(t, rt, func(r *trace.Recorder) {
-		rt.Parallel(func(th *Thread) {
-			th.For(100, func(int) {}, Schedule(icv.DynamicSched, 7))
-		})
-		var total int64
-		for _, rec := range r.Records() {
-			if rec.Ev == trace.EvLoopChunk {
-				total += rec.Arg
+		for _, desc := range []icv.Schedule{{Kind: icv.DynamicSched, Chunk: 7}, {Kind: icv.StaticSched}, {Kind: icv.StaticSched, Chunk: 7}} {
+			for _, trip := range []int{3, 100} {
+				var wantChunks int
+				s := sched.New(desc, int64(trip), n)
+				for tid := 0; tid < n; tid++ {
+					for _, ok := s.Next(tid); ok; _, ok = s.Next(tid) {
+						wantChunks++
+					}
+				}
+				for name, run := range entries {
+					start := len(r.Records())
+					rt.Parallel(func(th *Thread) { run(th, trip, Schedule(desc.Kind, desc.Chunk)) })
+					var chunks int
+					var total int64
+					for _, rec := range r.Records()[start:] {
+						if rec.Ev == trace.EvLoopChunk {
+							chunks++
+							total += rec.Arg
+						}
+					}
+					if chunks != wantChunks || total != int64(trip) {
+						t.Errorf("%s %v trip %d: %d chunk events summing to %d, want %d summing to %d",
+							name, desc, trip, chunks, total, wantChunks, trip)
+					}
+				}
 			}
-		}
-		if total != 100 {
-			t.Errorf("chunk lengths sum to %d, want 100", total)
 		}
 	})
 }

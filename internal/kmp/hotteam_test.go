@@ -148,18 +148,21 @@ func TestHotTeamCancellationCleared(t *testing.T) {
 	}
 }
 
-// TestHotTeamConstructStateCleared: worksharing state (single winners,
+// TestHotTeamConstructStateCleared: worksharing state (the single counter,
 // section cursors) from one region must be recycled before the team is
 // reused, and the construct ring must serve fresh sequence numbers.
 func TestHotTeamConstructStateCleared(t *testing.T) {
 	p := NewPool(fixedICVs(4))
 	for region := 0; region < 3; region++ {
-		var winners atomic.Int64
+		var winners, sections atomic.Int64
 		p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
 			for seq := int64(1); seq <= 2*wsRingSize; seq++ {
 				e := tm.Construct(seq)
-				if e.TrySingle() {
+				if tm.TrySingle(seq) {
 					winners.Add(1)
+				}
+				if _, ok := e.NextSection(1); ok {
+					sections.Add(1)
 				}
 				tm.Retire(seq, e)
 			}
@@ -167,6 +170,9 @@ func TestHotTeamConstructStateCleared(t *testing.T) {
 		})
 		if got := winners.Load(); got != 2*wsRingSize {
 			t.Errorf("region %d: single winners = %d, want %d", region, got, 2*wsRingSize)
+		}
+		if got := sections.Load(); got != 2*wsRingSize {
+			t.Errorf("region %d: sections claimed = %d, want %d", region, got, 2*wsRingSize)
 		}
 	}
 }

@@ -13,11 +13,14 @@
 // Team whose member 0 is the forking goroutine itself, exactly OpenMP's
 // master-participates semantics, and whose members 1..n-1 are pool workers.
 //
-// Worksharing construct state (see workshare.go) lives in a fixed ring of
-// pre-allocated entries per team — libomp's dispatch-buffer scheme — each
-// caching its loop scheduler across tenants (sched.Scheduler.Reset in
-// place), so steady-state loops of any schedule kind, including the
-// work-stealing steal scheduler, allocate nothing.
+// Worksharing constructs that need shared state (dynamic, guided and steal
+// loops, ordered, doacross, sections, copyprivate; see workshare.go) find it
+// in a fixed ring of pre-allocated entries per team — libomp's
+// dispatch-buffer scheme — each caching its loop scheduler across tenants
+// (sched.Scheduler.Reset in place), so steady-state loops of any schedule
+// kind, including the work-stealing steal scheduler, allocate nothing.
+// Static loops, reductions and single need no entry: the team carries a
+// single counter and per-member reduction slots instead.
 package kmp
 
 import (
@@ -360,6 +363,12 @@ type Team struct {
 	ctxs []any
 	// cancelled is set by a cancel construct; worksharing loops poll it.
 	cancelled atomic.Bool
+	// singles counts the single constructs the team has handed out this
+	// region (libomp's t_construct; see TrySingle).
+	singles atomic.Int64
+	// partials holds one reduction partial per member and parity, each word
+	// on its own cache line (see ReductionSlot).
+	partials []partialSlot
 	// children caches nested teams forked from this team: two slots per
 	// member (parallel and serialised), indexed 2*ptid+serialBit, so
 	// sibling members forking nested regions concurrently each keep their
@@ -378,6 +387,12 @@ type Team struct {
 
 // regionPanic boxes a recovered region-body panic value.
 type regionPanic struct{ val any }
+
+// partialSlot is one member's reduction partial, padded to a cache line.
+type partialSlot struct {
+	v uint64
+	_ [56]byte
+}
 
 // N returns the team size.
 func (t *Team) N() int { return t.n }
@@ -406,6 +421,26 @@ func (t *Team) GTID(tid int) int { return t.gtids[tid] }
 // accessed by member tid during a region, and team hand-off orders accesses
 // across regions.
 func (t *Team) Ctx(tid int) *any { return &t.ctxs[tid] }
+
+// TrySingle reports whether the calling member wins its seq-th single
+// construct of the region (seq counts from 1 on every member) — libomp's
+// __kmpc_single. Members meet singles in the same order, so when a member
+// reaches single seq the counter is at least seq-1 (its own previous single
+// was claimed by someone), and the first member to move it from seq-1 to seq
+// is the only winner. Losers that find it already advanced skip the CAS.
+func (t *Team) TrySingle(seq int64) bool {
+	return t.singles.Load() < seq && t.singles.CompareAndSwap(seq-1, seq)
+}
+
+// ReductionSlot returns member tid's partial word for a reduction of the
+// given parity (0 or 1). A reduction writes its members' slots, crosses a
+// barrier and reads them all; alternating parities lets the next reduction
+// start writing while a slow member still reads this one, because a member
+// can write parity p again only after every member has passed the barrier
+// of the reduction in between, i.e. has finished reading parity p.
+func (t *Team) ReductionSlot(parity, tid int) *uint64 {
+	return &t.partials[parity*t.n+tid].v
+}
 
 // Cancel requests cancellation of the innermost region (cancel construct).
 func (t *Team) Cancel() { t.cancelled.Store(true) }
@@ -607,6 +642,7 @@ func (p *Pool) buildTeam(parent *Team, n, level, activeLevel int) *Team {
 		gtids:       make([]int, n),
 		ctxs:        make([]any, n),
 		children:    make([]atomic.Pointer[Team], 2*n),
+		partials:    make([]partialSlot, 2*n),
 	}
 	tm.ws.init()
 	tm.tasks.SetGTIDs(tm.gtids)
@@ -630,13 +666,13 @@ func (p *Pool) buildTeam(parent *Team, n, level, activeLevel int) *Team {
 	return tm
 }
 
-// reset revives a cached team for its next region: cancellation and the
-// worksharing ring are cleared in place; barrier, task pool, gtids, worker
-// bindings and member contexts carry over untouched. The GOMAXPROCS spin
-// caches are deliberately NOT refreshed here — unconditional stores to
-// shared globals would bounce cache lines between concurrently forking
-// masters on the hot path; a GOMAXPROCS change is picked up at the next
-// cold team build.
+// reset revives a cached team for its next region: cancellation, the single
+// counter and the worksharing ring are cleared in place; barrier, reduction
+// slots, task pool, gtids, worker bindings and member contexts carry over
+// untouched. The GOMAXPROCS spin caches are deliberately NOT refreshed here
+// — unconditional stores to shared globals would bounce cache lines between
+// concurrently forking masters on the hot path; a GOMAXPROCS change is
+// picked up at the next cold team build.
 func (tm *Team) reset() {
 	if tm.cancelled.Load() {
 		tm.cancelled.Store(false)
@@ -647,6 +683,11 @@ func (tm *Team) reset() {
 	// pointer store (and its write barrier).
 	if tm.panicVal.Load() != nil {
 		tm.panicVal.Store(nil)
+	}
+	// Member single counters restart at 1 each region; every member has
+	// passed its last single before the join, so nothing races this store.
+	if tm.singles.Load() != 0 {
+		tm.singles.Store(0)
 	}
 	tm.ws.reset()
 }

@@ -183,8 +183,7 @@ func TestTrySingleExactlyOneWinner(t *testing.T) {
 	p := NewPool(fixedICVs(8))
 	var winners atomic.Int64
 	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
-		e := tm.Construct(1)
-		if e.TrySingle() {
+		if tm.TrySingle(1) {
 			winners.Add(1)
 		}
 		tm.Barrier(tid)
@@ -240,7 +239,7 @@ func TestCopyPrivate(t *testing.T) {
 	var got [4]int
 	p.Fork(nil, ForkSpec{}, func(tm *Team, tid int) {
 		e := tm.Construct(1)
-		if e.TrySingle() {
+		if tm.TrySingle(1) {
 			e.SetCopyPrivate(42)
 		}
 		got[tid] = e.CopyPrivate().(int)

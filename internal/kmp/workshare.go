@@ -9,7 +9,9 @@ import (
 	"repro/internal/sched"
 )
 
-// Worksharing construct state.
+// Worksharing construct state, for the constructs whose threads must share
+// it: dynamic, guided and steal loops, ordered and doacross loops, sections
+// and copyprivate. Static loops, reductions and single keep nothing here.
 //
 // OpenMP requires every thread of a team to encounter the same worksharing
 // constructs in the same order, which lets the runtime identify "the same
@@ -86,17 +88,12 @@ type WSEntry struct {
 	sched     sched.Scheduler
 	schedDesc icv.Schedule
 
-	// Reduction accumulator state; the accumulator is typed by the caller.
-	redState atomic.Int32
-	red      any
-
-	// single arbitration: first CAS winner executes the single block.
-	single atomic.Bool
 	// sections dispenser: next unclaimed section index.
 	sections atomic.Int64
 	// orderedNext is the iteration whose ordered region may run next.
 	orderedNext atomic.Int64
-	// copyVal broadcasts the single construct's copyprivate value.
+	// copyVal broadcasts the single construct's copyprivate value (the
+	// winner is picked by Team.TrySingle).
 	copyVal   any
 	copyReady atomic.Bool
 
@@ -117,9 +114,6 @@ type WSEntry struct {
 // by team reset.
 func (e *WSEntry) recycle() {
 	e.loopState.Store(0)
-	e.redState.Store(0)
-	e.red = nil
-	e.single.Store(false)
 	e.sections.Store(0)
 	e.orderedNext.Store(0)
 	e.copyVal = nil
@@ -149,24 +143,6 @@ func (e *WSEntry) LoopSched(desc icv.Schedule, trip int64, nthreads int) sched.S
 	spinUntil(func() bool { return e.loopState.Load() == 2 })
 	return e.sched
 }
-
-// InitReduction installs the reduction accumulator exactly once and returns
-// it; mk runs only for the first arrival.
-func (e *WSEntry) InitReduction(mk func() any) any {
-	if e.redState.Load() == 2 {
-		return e.red
-	}
-	if e.redState.CompareAndSwap(0, 1) {
-		e.red = mk()
-		e.redState.Store(2)
-		return e.red
-	}
-	spinUntil(func() bool { return e.redState.Load() == 2 })
-	return e.red
-}
-
-// TrySingle reports whether the calling thread won the single construct.
-func (e *WSEntry) TrySingle() bool { return e.single.CompareAndSwap(false, true) }
 
 // NextSection returns the next unexecuted section index, for a sections
 // construct with total sections; ok=false when all are claimed.

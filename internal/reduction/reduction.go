@@ -4,11 +4,13 @@
 //
 // The primary mechanism mirrors libomp: each thread accumulates into a
 // private partial (initialised to the operator's identity), and partials are
-// combined at the end of the worksharing construct. Accumulator keeps the
-// partials in cache-line-padded slots to avoid false sharing. Two alternative
-// strategies — atomic updates and a critical section — exist for the A3
-// ablation benchmark; they produce identical results but very different
-// scalability.
+// combined at the end of the worksharing construct. The runtime keeps those
+// partials in padded per-member slots of its team (internal/core's Reduce)
+// and folds them with Combine in member order, as Accumulator.Reduce does.
+// Accumulator is the same scheme as a standalone value, for the A3 ablation
+// strategies and the benchmark's probes; the two alternative strategies —
+// atomic updates and a critical section — produce identical results but
+// very different scalability.
 package reduction
 
 import (
@@ -222,8 +224,7 @@ func isFloat[T Number]() bool {
 const slotStride = 8 // 8 * 8 bytes = 64-byte stride for 8-byte T
 
 // Accumulator holds per-thread partials for a reduction, padded against
-// false sharing. It is the tree-combine strategy of the A3 ablation and the
-// default strategy of the runtime.
+// false sharing. It is the partials strategy of the A3 ablation.
 type Accumulator[T Number] struct {
 	op    Op
 	slots []T // slot i lives at index i*slotStride
