@@ -283,7 +283,7 @@ func TestNestedTargetData(t *testing.T) {
 
 // TestKernelPanicSurfacesAndWorkerSurvives turns kernel panics into errors
 // on both backends; the subprocess worker must keep serving afterwards, and
-// after a failed posted operation too.
+// after calls with a bad buffer or a bad argument too.
 func TestKernelPanicSurfacesAndWorkerSurvives(t *testing.T) {
 	for _, b := range backends(t) {
 		err := b.mgr.Target(b.dev, "conf.panic", nil, Launch{})
@@ -302,29 +302,35 @@ func TestKernelPanicSurfacesAndWorkerSurvives(t *testing.T) {
 		if !ok {
 			continue
 		}
-		// A posted op that fails — MapTo into a freed buffer — returns
-		// nothing at the call. The failure surfaces on the next waited
-		// call, which does not run, and the worker keeps serving.
+		// A freed buffer fails at the call that names it: nothing is posted
+		// to fail later.
 		obj := Object{Name: "x", Data: x}
 		p, err := sub.Alloc(obj)
 		if err == nil {
 			err = sub.Free(p)
 		}
-		if err == nil {
-			err = sub.MapTo(p, obj)
-		}
 		if err != nil {
-			t.Fatalf("posted ops must not report worker-side failures at the call: %v", err)
+			t.Fatal(err)
 		}
-		err = b.mgr.Target(b.dev, "conf.scale", nil, Launch{}, Mapping{Kind: MapToFrom, Name: "x", Data: x})
-		if err == nil || !strings.Contains(err.Error(), "posted") || !strings.Contains(err.Error(), "map-to") || !strings.Contains(err.Error(), "unknown buffer") {
-			t.Fatalf("want the posted map-to failure on the next waited call, got %v", err)
+		if err := sub.MapTo(p, obj); err == nil || !strings.Contains(err.Error(), "unknown buffer") {
+			t.Fatalf("map-to into a freed buffer: %v, want unknown buffer at the call", err)
 		}
-		if x[0] != 2 || b.mgr.presentRefs(b.dev, x) != 0 {
-			t.Fatalf("the launch behind a failed posted op ran or stayed mapped: x[0] = %v, refs %d", x[0], b.mgr.presentRefs(b.dev, x))
+		// An Exec argument the worker cannot view gets an error reply, and
+		// the worker keeps serving.
+		for _, bad := range []wireArg{
+			{name: "x", typ: "float64", count: 1 << 40},
+			{name: "x", typ: "no.such.type", count: 1},
+			{name: "x", typ: "float64", count: -2},
+		} {
+			sub.mu.Lock()
+			err = sub.wait(&request{op: opExec, name: "conf.scale", args: []wireArg{bad}}, nil)
+			sub.mu.Unlock()
+			if err == nil || errors.Is(err, errDeviceLost) || !strings.Contains(err.Error(), `argument "x"`) {
+				t.Fatalf("exec over %+v: %v, want an argument error from a live worker", bad, err)
+			}
 		}
 		if err := b.mgr.Target(b.dev, "conf.scale", nil, Launch{}, Mapping{Kind: MapToFrom, Name: "x", Data: x}); err != nil || x[0] != 4 {
-			t.Fatalf("worker unusable after a posted-op failure: err %v, x[0] = %v, want 4", err, x[0])
+			t.Fatalf("worker unusable after failed calls: err %v, x[0] = %v, want 4", err, x[0])
 		}
 	}
 }

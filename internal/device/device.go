@@ -11,14 +11,13 @@
 //   - host (device 0): runs kernels in-process on a dedicated runtime (its
 //     own hot-team pool), with zero-copy maps — the host-fallback device
 //     every OpenMP implementation carries.
-//   - subprocess: re-executes the current binary as a worker child and
-//     moves the data environment over its stdin/stdout pipes as raw
-//     memory in length-prefixed frames (frame.go) — the
-//     sharding/multi-machine proof. Kernels must be registered by name
-//     (RegisterKernel) to be addressable across the process boundary,
-//     exactly as a real compiler registers device images; the worker side
-//     resolves the same name in its own registry because parent and child
-//     run the same binary.
+//   - subprocess: re-executes the current binary as a worker child. The
+//     data environment lives in a shared memory arena both processes map
+//     (arena.go), so maps are memory copies on the host and only a kernel
+//     launch crosses the pipe (frame.go), as in libomptarget's plugins.
+//     Kernels are registered by name (RegisterKernel), as a compiler
+//     registers device images; the worker resolves the same name because
+//     parent and child run the same binary.
 //
 // Closure kernels (an inline func with no registered name) capture host
 // variables directly and therefore execute only on in-process devices; on

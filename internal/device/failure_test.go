@@ -47,11 +47,19 @@ func within(t *testing.T, d time.Duration, what string, fn func() error) error {
 // the call that hit the failure: it names the device, the op and the cause;
 // every later call returns the same error at once; the present table is
 // empty (held is storage that was resident) and nothing is copied back;
-// Close is quick; the child, if there was one, is gone.
+// the host has dropped its arena; Close is quick; the child, if there was
+// one, is gone.
 func checkLost(t *testing.T, m *Manager, dev int, first error, op string, held []float64, pid int) {
 	t.Helper()
 	if first == nil {
 		t.Fatal("the failing call returned no error")
+	}
+	sub := m.entries[dev].dev.(*subprocessDevice)
+	sub.mu.Lock()
+	mapped := sub.ar != nil
+	sub.mu.Unlock()
+	if mapped {
+		t.Error("the lost device still maps its arena")
 	}
 	if !errors.Is(first, errDeviceLost) {
 		t.Fatalf("error does not mark the device lost: %v", first)
@@ -111,6 +119,9 @@ func resident(t *testing.T, m *Manager, dev int) []float64 {
 	return held
 }
 
+// TestWorkerKilledBetweenCalls kills the worker with data resident, then
+// launches a target that also maps fresh storage: its MapTo is a local copy
+// into the arena and succeeds, and the Exec after it finds the worker gone.
 func TestWorkerKilledBetweenCalls(t *testing.T) {
 	m, dev, sub := liveSubprocess(t)
 	held := resident(t, m, dev)
@@ -118,9 +129,14 @@ func TestWorkerKilledBetweenCalls(t *testing.T) {
 	if err := sub.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
+	fresh := []float64{5, 6}
 	err := within(t, 5*time.Second, "target after the worker was killed", func() error {
-		return m.Target(dev, "conf.scale", nil, Launch{}, Mapping{Kind: MapToFrom, Name: "x", Data: held})
+		return m.Target(dev, "conf.saxpy", nil, Launch{},
+			Mapping{Kind: MapToFrom, Name: "y", Data: held}, Mapping{Kind: MapToFrom, Name: "x", Data: fresh})
 	})
+	if fresh[0] != 5 || fresh[1] != 6 || m.presentRefs(dev, fresh) != 0 {
+		t.Errorf("freshly mapped storage: %v, refs %d; want untouched [5 6] and absent", fresh, m.presentRefs(dev, fresh))
+	}
 	checkLost(t, m, dev, err, "exec", held, pid)
 }
 
@@ -217,10 +233,19 @@ func TestHostDecoderGarbledReply(t *testing.T) {
 // otherwise — and never hangs, panics or replies out of step.
 func TestWorkerServeDamagedRequests(t *testing.T) {
 	reqs, _ := captureWire(t)
+	ar, err := newArena(arenaWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ar.f.Close()
+	defer ar.unmap()
+	if err := ar.f.Truncate(arenaGrain); err != nil { // room for the captured spans
+		t.Fatal(err)
+	}
 	serve := func(in []byte) (replies []byte, err error) {
 		var out bytes.Buffer
 		err = within(t, 5*time.Second, "WorkerServe on a damaged stream", func() error {
-			return WorkerServe(bytes.NewReader(in), &out)
+			return WorkerServe(bytes.NewReader(in), &out, ar.f)
 		})
 		return out.Bytes(), err
 	}
@@ -265,8 +290,8 @@ func TestWorkerServeDamagedRequests(t *testing.T) {
 	}
 }
 
-// frameLen is the length of the request frame at the head of b, payload
-// included.
+// frameLen is the length of the request frame at the head of b, Init's
+// payload included.
 func frameLen(t *testing.T, b []byte) int {
 	t.Helper()
 	rd := bytes.NewReader(b)
@@ -276,7 +301,7 @@ func frameLen(t *testing.T, b []byte) int {
 		t.Fatal(err)
 	}
 	n := len(b) - rd.Len() - br.Buffered()
-	if req.op == opMapTo || req.op == opInit {
+	if req.op == opInit {
 		n += int(req.n)
 	}
 	return n

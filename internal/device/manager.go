@@ -3,6 +3,7 @@ package device
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -120,34 +121,27 @@ func (m *Manager) resolve(id int) (*entry, int, error) {
 	return m.entries[id], id, nil
 }
 
-// offloadPolicy reads target-offload-var under the lock.
-func (m *Manager) offloadPolicy() icv.OffloadPolicy {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.icvs.TargetOffload
-}
-
-// hostEntry returns device 0.
-func (m *Manager) hostEntry() *entry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.entries[0]
-}
-
 // startable is the optional probe for devices with lazy external state
 // (the subprocess backend); a Start failure triggers offload-policy
 // handling before any data is mapped.
 type startable interface{ Start() error }
 
-// placeOn applies the offload policy to a resolved entry: a closure-only
-// kernel on an out-of-process device, or a device whose backend cannot
-// start, falls back to the host (default policy) or errors (mandatory).
-func (m *Manager) placeOn(e *entry, id int, name string, k Kernel) (*entry, int, error) {
+// place resolves devID and applies the offload policy to the entry: a
+// closure-only kernel on an out-of-process device, or a device whose
+// backend cannot start, falls back to the host (default policy) or errors
+// (mandatory). The data constructs pass no kernel.
+func (m *Manager) place(devID int, name string, k Kernel) (*entry, int, error) {
+	e, id, err := m.resolve(devID)
+	if err != nil {
+		return nil, 0, err
+	}
 	fallback := func(reason error) (*entry, int, error) {
-		if m.offloadPolicy() == icv.OffloadMandatory {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.icvs.TargetOffload == icv.OffloadMandatory {
 			return nil, 0, fmt.Errorf("device %d (%s): offload is mandatory: %w", id, e.dev.Name(), reason)
 		}
-		return m.hostEntry(), 0, nil
+		return m.entries[0], 0, nil
 	}
 	if name == "" && k != nil && !e.dev.InProcess() {
 		return fallback(ErrNotOffloadable)
@@ -167,53 +161,56 @@ func (m *Manager) placeOn(e *entry, id int, name string, k Kernel) (*entry, int,
 // non-nil k prefers the name on out-of-process devices and the closure in
 // process.
 func (m *Manager) Target(devID int, name string, k Kernel, cfg Launch, maps ...Mapping) error {
-	e, id, err := m.resolve(devID)
-	if err != nil {
-		return err
-	}
-	e, id, err = m.placeOn(e, id, name, k)
+	e, id, err := m.place(devID, name, k)
 	if err != nil {
 		return err
 	}
 	trace.Emit(trace.EvTargetBegin, 0, int64(id))
 	defer trace.Emit(trace.EvTargetEnd, 0, int64(id))
 
-	args := make([]Arg, 0, len(maps))
-	entered := 0
-	for _, mp := range maps {
-		ptr, err := e.present.enter(e.dev, mp)
-		if err != nil {
-			// Unwind what was mapped, without copy-back.
-			for i := entered - 1; i >= 0; i-- {
-				rel := maps[i]
-				rel.Kind = MapRelease
-				e.present.exit(e.dev, rel)
-			}
-			return err
-		}
-		entered++
-		args = append(args, Arg{Name: mp.Name, Ptr: ptr})
+	args, err := e.enterAll(maps, make([]Arg, 0, len(maps)))
+	if err != nil {
+		return err
 	}
-
 	execErr := e.dev.Exec(name, k, cfg, args)
 	e.present.deviceLost(execErr)
-
-	var exitErr error
-	for i := len(maps) - 1; i >= 0; i-- {
-		mp := maps[i]
-		if execErr != nil {
-			// The kernel failed; release the environment but skip
-			// copy-backs of possibly half-written buffers.
-			mp.Kind = MapRelease
-		}
-		if err := e.present.exit(e.dev, mp); err != nil && exitErr == nil {
-			exitErr = err
-		}
-	}
+	// A failed kernel releases the environment but skips copy-backs of
+	// possibly half-written buffers.
+	exitErr := e.exitAll(maps, execErr != nil)
 	if execErr != nil {
 		return execErr
 	}
 	return exitErr
+}
+
+// enterAll enters maps in order, appending each one's buffer to args unless
+// args is nil; on a failure it unwinds what was mapped, without copy-back.
+func (e *entry) enterAll(maps []Mapping, args []Arg) ([]Arg, error) {
+	for i, mp := range maps {
+		ptr, err := e.present.enter(e.dev, mp)
+		if err != nil {
+			e.exitAll(maps[:i], true)
+			return nil, err
+		}
+		if args != nil {
+			args = append(args, Arg{Name: mp.Name, Ptr: ptr})
+		}
+	}
+	return args, nil
+}
+
+// exitAll exits maps in reverse order, all as release if release is set,
+// and returns the first error.
+func (e *entry) exitAll(maps []Mapping, release bool) (first error) {
+	for _, mp := range slices.Backward(maps) {
+		if release {
+			mp.Kind = MapRelease
+		}
+		if err := e.present.exit(e.dev, mp); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // TargetNowait runs Target asynchronously — the nowait clause. Errors are
@@ -247,37 +244,18 @@ func (m *Manager) TargetSync() error {
 // run body (whose nested target constructs hit the present table and reuse
 // the buffers), exit in reverse order.
 func (m *Manager) TargetData(devID int, body func() error, maps ...Mapping) error {
-	e, id, err := m.resolve(devID)
+	e, _, err := m.place(devID, "", nil)
+	if err == nil {
+		_, err = e.enterAll(maps, nil)
+	}
 	if err != nil {
 		return err
 	}
-	if e, _, err = m.placeOn(e, id, "", nil); err != nil {
-		return err
+	var bodyErr error
+	if body != nil {
+		bodyErr = body()
 	}
-	entered := 0
-	for _, mp := range maps {
-		if _, err := e.present.enter(e.dev, mp); err != nil {
-			for i := entered - 1; i >= 0; i-- {
-				rel := maps[i]
-				rel.Kind = MapRelease
-				e.present.exit(e.dev, rel)
-			}
-			return err
-		}
-		entered++
-	}
-	bodyErr := func() error {
-		if body == nil {
-			return nil
-		}
-		return body()
-	}()
-	var exitErr error
-	for i := len(maps) - 1; i >= 0; i-- {
-		if err := e.present.exit(e.dev, maps[i]); err != nil && exitErr == nil {
-			exitErr = err
-		}
-	}
+	exitErr := e.exitAll(maps, false)
 	if bodyErr != nil {
 		return bodyErr
 	}
@@ -288,11 +266,8 @@ func (m *Manager) TargetData(devID int, body func() error, maps ...Mapping) erro
 // open until a matching TargetExitData — the unstructured half of target
 // data.
 func (m *Manager) TargetEnterData(devID int, maps ...Mapping) error {
-	e, id, err := m.resolve(devID)
+	e, _, err := m.place(devID, "", nil)
 	if err != nil {
-		return err
-	}
-	if e, _, err = m.placeOn(e, id, "", nil); err != nil {
 		return err
 	}
 	for _, mp := range maps {
@@ -306,53 +281,29 @@ func (m *Manager) TargetEnterData(devID int, maps ...Mapping) error {
 // TargetExitData unmaps items: refcounts drop, and the exit map types
 // (from/release/delete) decide the copy-backs.
 func (m *Manager) TargetExitData(devID int, maps ...Mapping) error {
-	e, id, err := m.resolve(devID)
-	if err != nil {
-		return err
-	}
-	if e, _, err = m.placeOn(e, id, "", nil); err != nil {
-		return err
-	}
-	var first error
-	for _, mp := range maps {
-		if err := e.present.exit(e.dev, mp); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return m.forEach(devID, maps, (*presentTable).exit)
 }
 
 // TargetUpdate forces data motion for present items — the target update
 // construct: to-kinds refresh the device copy, from-kinds refresh the host.
 func (m *Manager) TargetUpdate(devID int, maps ...Mapping) error {
-	e, id, err := m.resolve(devID)
+	return m.forEach(devID, maps, (*presentTable).update)
+}
+
+// forEach applies op to every item on the placed device and returns the
+// first error.
+func (m *Manager) forEach(devID int, maps []Mapping, op func(*presentTable, Device, Mapping) error) error {
+	e, _, err := m.place(devID, "", nil)
 	if err != nil {
-		return err
-	}
-	if e, _, err = m.placeOn(e, id, "", nil); err != nil {
 		return err
 	}
 	var first error
 	for _, mp := range maps {
-		if err := e.present.update(e.dev, mp); err != nil && first == nil {
+		if err := op(e.present, e.dev, mp); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
-}
-
-// presentRefs exposes a device's present-table refcount for obj-shaped
-// storage (tests).
-func (m *Manager) presentRefs(devID int, data any) int {
-	e, _, err := m.resolve(devID)
-	if err != nil {
-		return 0
-	}
-	obj, err := normalizeObject(Mapping{Data: data})
-	if err != nil {
-		return 0
-	}
-	return e.present.refsOf(obj)
 }
 
 // Close syncs and tears down every device (host last). The manager is

@@ -62,7 +62,7 @@ func (o Object) keyOf() hostKey {
 }
 
 // byteSize is the size of the object's storage: the transfer size trace
-// events report and the length of its raw wire form.
+// events report and the length of its raw form.
 func (o Object) byteSize() int64 {
 	rv := reflect.ValueOf(o.Data)
 	switch rv.Kind() {
@@ -75,20 +75,19 @@ func (o Object) byteSize() int64 {
 	}
 }
 
-// raw is the object's storage viewed as bytes — what crosses a device pipe
-// in either direction: the slice's backing array, or the pointee. Parent
-// and worker are one binary, so the layout is the same on both ends.
+// raw is the object's storage viewed as bytes — what a map copies to and
+// from an out-of-process device. Parent and worker are one binary, so the
+// layout is the same on both ends.
 func (o Object) raw() []byte {
 	rv := reflect.ValueOf(o.Data)
 	return unsafe.Slice((*byte)(rv.UnsafePointer()), o.byteSize())
 }
 
-// wireShape is what Alloc ships instead of contents: the registered name
-// of the element type and the element count, -1 for a pointer object (one
-// boxed value). It enforces the mappable-type rule before a byte is sent:
-// the element type must have a raw layout and be registered, and the
-// storage must be a plain []T or *T, because that is what the worker
-// allocates and what kernels type-assert on every backend.
+// wireShape is what an Exec tells the worker a buffer holds: the element
+// type's registered name and the count, -1 for one boxed value. It
+// enforces the mappable-type rule at Alloc: the element type must have a
+// raw layout and be registered, and the storage must be a plain []T or *T,
+// because that is what the worker views and kernels type-assert.
 func (o Object) wireShape() (name string, count int64, err error) {
 	rv := reflect.ValueOf(o.Data)
 	elem := rv.Type().Elem()

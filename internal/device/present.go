@@ -28,23 +28,6 @@ func newPresentTable() *presentTable {
 	return &presentTable{entries: map[hostKey]*presentEntry{}}
 }
 
-// len reports the live entry count (tests).
-func (pt *presentTable) len() int {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	return len(pt.entries)
-}
-
-// refs reports the reference count of the entry holding obj, 0 if absent.
-func (pt *presentTable) refsOf(obj Object) int {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if e := pt.entries[obj.keyOf()]; e != nil {
-		return e.refs
-	}
-	return 0
-}
-
 // dropIfLost empties the table when *err says the device is gone: its
 // buffers went with it, so there is nothing left to copy back or free.
 // enter, exit and update defer it under pt.mu.

@@ -31,6 +31,37 @@ func (m *mockDev) Exec(name string, k Kernel, cfg Launch, args []Arg) error {
 func (m *mockDev) Sync() error  { return nil }
 func (m *mockDev) Close() error { return nil }
 
+// len reports the live entry count.
+func (pt *presentTable) len() int {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	return len(pt.entries)
+}
+
+// refsOf reports the reference count of the entry holding obj, 0 if absent.
+func (pt *presentTable) refsOf(obj Object) int {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if e := pt.entries[obj.keyOf()]; e != nil {
+		return e.refs
+	}
+	return 0
+}
+
+// presentRefs exposes a device's present-table refcount for obj-shaped
+// storage.
+func (m *Manager) presentRefs(devID int, data any) int {
+	e, _, err := m.resolve(devID)
+	if err != nil {
+		return 0
+	}
+	obj, err := normalizeObject(Mapping{Data: data})
+	if err != nil {
+		return 0
+	}
+	return e.present.refsOf(obj)
+}
+
 func TestPresentRefcountTransfers(t *testing.T) {
 	t.Parallel()
 	dev := &mockDev{}

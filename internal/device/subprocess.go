@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"os/exec"
-	"reflect"
 	"sync"
 	"time"
 
@@ -17,18 +16,18 @@ import (
 	"repro/internal/icv"
 )
 
-// WorkerEnv is the environment variable marking a process as a device
-// worker. The subprocess backend re-executes the current binary with it
-// set; WorkerMain detects it and turns the process into a kernel server.
+// WorkerEnv marks a process as a device worker: the subprocess backend
+// re-executes the current binary with it set, and WorkerMain serves.
 const WorkerEnv = "GOMP_TARGET_WORKER"
 
-// helloMagic opens the worker's reply stream so the parent can tell a
-// serving worker apart from a binary that forgot to call WorkerMain.
-const helloMagic = "gomp-device-worker-2"
+// helloMagic opens a serving worker's replies; a binary that forgot to
+// call WorkerMain does not send it.
+const helloMagic = "gomp-device-worker-3"
 
-// wireBufLen sizes the buffered reader and writer on each end of a pipe: a
-// pipe's own capacity, so a frame whose payload fits is one write.
-const wireBufLen = 64 << 10
+const (
+	wireBufLen = 64 << 10 // a pipe's capacity: a frame is one read
+	arenaFD    = 3        // the worker's arena: the first of ExtraFiles
+)
 
 // errDeviceLost marks a sticky transport failure: the worker is gone and
 // its buffers with it, so the present table drops the device's entries.
@@ -38,241 +37,149 @@ var errDeviceLost = errors.New("device lost")
 func IsWorker() bool { return os.Getenv(WorkerEnv) != "" }
 
 // WorkerMain turns a worker process into a kernel server on its standard
-// pipes and exits when the parent closes the connection; in a non-worker
-// process it returns immediately. Programs that use the subprocess backend
-// call it first thing in main, after kernel registrations — the re-executed
-// binary reaches the same call and serves instead of running the program.
+// pipes and the arena at arenaFD, exiting when the parent hangs up; in any
+// other process it returns at once. Programs that offload call it first
+// thing in main, so the re-executed binary serves instead of running.
 func WorkerMain() {
 	if !IsWorker() {
 		return
 	}
-	if err := WorkerServe(spinning(pollable(os.Stdin)), os.Stdout); err != nil {
+	if err := WorkerServe(spinning(pollable(os.Stdin)), os.Stdout, os.NewFile(arenaFD, "gomp-device-arena")); err != nil {
 		fmt.Fprintf(os.Stderr, "gomp device worker: %v\n", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// worker is the serving side's state: the buffer table and the runtime
-// kernels run on.
-type worker struct {
-	bufs map[uint64]workerBuf
-	rt   *core.Runtime
-}
-
-// workerBuf is one device buffer: val is what kernels get from Env.Get (a
-// slice, or a pointer to one boxed value — the shapes the host backend
-// hands out), mem the same storage as bytes.
-type workerBuf struct {
-	val any
-	mem []byte
-}
-
-func newWorkerBuf(typeName string, count int64) (workerBuf, error) {
-	t, ok := typesByName.Load(typeName)
-	if !ok {
-		return workerBuf{}, fmt.Errorf("type %q is not registered in the worker", typeName)
-	}
-	elem := t.(reflect.Type)
-	var val any
-	switch {
-	case count == -1:
-		val = reflect.New(elem).Interface()
-	case count < 0 || (elem.Size() > 0 && uint64(count) > math.MaxInt/uint64(elem.Size())):
-		return workerBuf{}, fmt.Errorf("element count %d of %s out of range", count, elem)
-	default:
-		val = reflect.MakeSlice(reflect.SliceOf(elem), int(count), int(count)).Interface()
-	}
-	return workerBuf{val: val, mem: Object{Data: val}.raw()}, nil
-}
-
-// WorkerServe runs the worker loop on an explicit connection (exported for
-// tests and custom transports): hello, the Init handshake that builds the
-// runtime, then requests applied to the local buffer table. It returns nil
-// when the stream ends between frames and an error when it ends inside one
-// or stops making sense — the worker never guesses where the next frame
-// starts.
-func WorkerServe(r io.Reader, w io.Writer) error {
-	br := bufio.NewReaderSize(r, wireBufLen)
-	bw := bufio.NewWriterSize(w, wireBufLen)
-	send := func(status byte, payload []byte) error {
-		if err := writeReply(bw, status, payload); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	if err := send(statusOK, []byte(helloMagic)); err != nil {
-		return err
-	}
-	first, err := readRequest(br)
-	if err == io.EOF {
-		return nil
-	}
+// WorkerServe runs the worker loop on an explicit connection and arena
+// object (for tests and custom transports): hello, the Init handshake that
+// builds the runtime, then Execs over views of the arena. It returns nil
+// when the stream ends between frames, and an error when it ends inside
+// one or stops making sense: it never guesses where a frame starts.
+func WorkerServe(r io.Reader, w io.Writer, arenaFile *os.File) error {
+	ar, err := mapArena(arenaFile, arenaWindow)
 	if err != nil {
-		return fmt.Errorf("handshake: %w", err)
-	}
-	if first.op != opInit || first.n < 0 || first.n > maxInitBytes {
-		return fmt.Errorf("handshake: want init with at most %d payload bytes, got %s with %d", maxInitBytes, opName(first.op), first.n)
-	}
-	icvJSON := make([]byte, first.n)
-	if _, err := readPayload(br, icvJSON, first.n); err != nil {
-		return fmt.Errorf("handshake: %w", err)
-	}
-	icvs := icv.Default()
-	if err := json.Unmarshal(icvJSON, icvs); err != nil {
-		return fmt.Errorf("handshake: ICVs: %w", err)
-	}
-	wk := &worker{bufs: map[uint64]workerBuf{}, rt: core.NewRuntime(icvs)}
-	defer wk.rt.Pool().Shutdown()
-	if err := send(statusOK, nil); err != nil {
 		return err
 	}
-
-	posted := "" // first failure among posted ops since the last reply
+	defer ar.unmap()
+	br, icvs := bufio.NewReaderSize(r, wireBufLen), icv.Default()
+	if err := writeReply(w, statusOK, []byte(helloMagic)); err != nil {
+		return err
+	}
+	switch first, err := readRequest(br); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("handshake: %w", err)
+	case first.op != opInit || first.n < 0 || first.n > maxInitBytes:
+		return fmt.Errorf("handshake: want init with at most %d payload bytes, got %s with %d", maxInitBytes, opNames[first.op], first.n)
+	default:
+		icvJSON := make([]byte, first.n)
+		if _, err := io.ReadFull(br, icvJSON); err != nil {
+			return fmt.Errorf("handshake: %w", truncated(err))
+		}
+		if err := json.Unmarshal(icvJSON, icvs); err != nil {
+			return fmt.Errorf("handshake: ICVs: %w", err)
+		}
+	}
+	rt := core.NewRuntime(icvs)
+	defer rt.Pool().Shutdown()
+	if err := writeReply(w, statusOK, nil); err != nil {
+		return err
+	}
 	for {
 		req, err := readRequest(br)
-		if err == io.EOF {
+		switch {
+		case err == io.EOF:
 			return nil
-		}
-		if err != nil {
+		case err != nil:
 			return err
-		}
-		switch req.op {
-		case opInit:
+		case req.op != opExec:
 			return fmt.Errorf("init after the handshake")
-		case opAlloc, opMapTo, opFree:
-			fail, err := wk.post(&req, br)
-			if err != nil {
-				return err
-			}
-			if fail != "" && posted == "" {
-				posted = fmt.Sprintf("worker: %s buffer %d: %s", opName(req.op), req.buf, fail)
-			}
-			continue
 		}
-		// A waited op. One that follows a failed posted op does not run:
-		// its inputs are not what the host thinks they are.
 		status, out := statusOK, []byte(nil)
-		if posted != "" {
-			status, out, posted = statusPosted, []byte(posted), ""
-		} else if fail := wk.run(&req, &out); fail != "" {
+		if fail := exec1(ar, rt, &req); fail != "" {
 			status, out = statusErr, []byte("worker: "+fail)
 		}
-		if err := send(status, out); err != nil {
+		if err := writeReply(w, status, out); err != nil {
 			return err
 		}
 	}
 }
 
-// post applies one posted op, reading MapTo's payload straight into the
-// buffer it targets. fail is the op's own failure, err a broken stream.
-func (wk *worker) post(req *request, r *bufio.Reader) (fail string, err error) {
-	switch req.op {
-	case opAlloc:
-		b, err := newWorkerBuf(req.name, req.n)
-		if err != nil {
-			return err.Error(), nil
-		}
-		wk.bufs[req.buf] = b
-	case opMapTo:
-		b, ok := wk.bufs[req.buf]
-		mismatch, err := readPayload(r, b.mem, req.n)
-		switch {
-		case err != nil:
-			return "", err
-		case !ok:
-			return "unknown buffer", nil
-		case mismatch:
-			return fmt.Sprintf("%d payload bytes for a buffer of %d", req.n, len(b.mem)), nil
-		}
-	case opFree:
-		delete(wk.bufs, req.buf)
-	}
-	return "", nil
-}
-
-// run applies one waited op; *out is the reply payload.
-func (wk *worker) run(req *request, out *[]byte) (fail string) {
-	switch req.op {
-	case opMapFrom:
-		b, ok := wk.bufs[req.buf]
-		if !ok {
-			return fmt.Sprintf("map-from: unknown buffer %d", req.buf)
-		}
-		*out = b.mem
-	case opExec:
-		return wk.exec(req)
-	case opSync:
-		// The request/reply round trip is the barrier.
-	}
-	return ""
-}
-
-// exec runs one kernel against the buffer table, converting panics into
-// wire errors.
-func (wk *worker) exec(req *request) (fail string) {
+// exec1 runs a kernel over views of the arena; a bad argument or a panic
+// is a wire error.
+func exec1(ar *arena, rt *core.Runtime, req *request) (fail string) {
 	k, ok := LookupKernel(req.name)
 	if !ok {
 		return fmt.Sprintf("%v: %q", ErrNoKernel, req.name)
 	}
 	vals := make(map[string]any, len(req.args))
-	for _, a := range req.args {
-		b, ok := wk.bufs[uint64(a.Ptr)]
-		if !ok {
-			return fmt.Sprintf("kernel %q: unknown buffer %d for %q", req.name, a.Ptr, a.Name)
+	for i, a := range req.args {
+		v, err := ar.view(&req.args[i])
+		if err != nil {
+			return fmt.Sprintf("kernel %q: argument %q: %v", req.name, a.name, err)
 		}
-		vals[a.Name] = b.val
+		vals[a.name] = v
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			fail = fmt.Sprintf("kernel %q panicked: %v", req.name, r)
 		}
 	}()
-	k(wk.rt, req.cfg, NewEnv(vals))
+	k(rt, req.cfg, NewEnv(vals))
 	return ""
 }
 
-// subprocessDevice proxies Device calls to a worker child over pipes. The
-// child is spawned lazily on first use; all operations serialise on one
-// connection. Alloc, MapTo and Free are posted into the buffered writer;
-// Exec, MapFrom and Sync flush it and wait for one reply, which also
-// carries the failure of any posted op since the last one.
+// subprocessDevice proxies Device calls to a worker child. Buffers are spans
+// of an arena both processes map, so only Exec crosses the pipe: one frame
+// out, one reply back. The child is spawned lazily on first use; all
+// operations serialise on s.mu.
 type subprocessDevice struct {
-	icvs *icv.Set
+	icvs   *icv.Set
+	window int64 // the arena's reserved range
 
 	mu       sync.Mutex
 	started  bool
 	startErr error
 	broken   error // sticky: a transport failure, or Close
 	cmd      *exec.Cmd
-	stdin    io.Closer
-	w        *bufio.Writer
+	stdin    io.WriteCloser
 	r        *bufio.Reader
-	scratch  []byte // request encoding, reused
+	scratch  []byte    // request encoding, reused
+	args     []wireArg // Exec's argument records, reused
+	ar       *arena
+	bufs     map[Ptr]*span
 	next     Ptr
 
-	// Wire accounting since spawn, for tests: flush-and-wait cycles, and
-	// bytes written and read, headers included.
+	// Wire accounting for tests: round trips, bytes written and read.
 	waits, wireOut, wireIn int64
 }
 
-// NewSubprocess builds the out-of-process backend. The worker inherits
-// icvs (cloned; nil = defaults) for its runtime. The child is not spawned
-// until the first device operation.
+// span is one device buffer. unfilled marks reused storage no MapTo has
+// overwritten, cleared before a kernel or MapFrom reads it: map(alloc:)
+// and map(from:) storage reads as zeros, as fresh arena storage does.
+type span struct {
+	off, n   int64 // offset and byte size
+	typ      string
+	count    int64 // elements, -1 for one boxed value
+	unfilled bool
+}
+
+// NewSubprocess builds the out-of-process backend; the worker, spawned at
+// the first device operation, inherits icvs (cloned; nil = defaults).
 func NewSubprocess(icvs *icv.Set) Device {
 	if icvs == nil {
 		icvs = icv.Default()
 	}
-	return &subprocessDevice{icvs: icvs.Clone()}
+	return &subprocessDevice{icvs: icvs.Clone(), window: arenaWindow, bufs: map[Ptr]*span{}}
 }
 
 func (s *subprocessDevice) Name() string    { return "subprocess" }
 func (s *subprocessDevice) InProcess() bool { return false }
 
-// Start spawns the worker child, idempotently. A worker process never
-// starts workers of its own (no recursive offload), and a binary that does
-// not serve the worker protocol is detected by a handshake timeout instead
-// of a hang.
+// Start spawns the worker child and its arena, idempotently. A worker
+// never starts workers of its own (no recursive offload).
 func (s *subprocessDevice) Start() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -280,11 +187,9 @@ func (s *subprocessDevice) Start() error {
 }
 
 func (s *subprocessDevice) startLocked() error {
-	if s.started {
-		return s.startErr
+	if !s.started {
+		s.started, s.startErr = true, s.spawn()
 	}
-	s.started = true
-	s.startErr = s.spawn()
 	return s.startErr
 }
 
@@ -293,59 +198,57 @@ func (s *subprocessDevice) spawn() error {
 		return fmt.Errorf("subprocess device: refusing to nest workers (already a worker)")
 	}
 	exe, err := os.Executable()
+	if err == nil {
+		s.ar, err = newArena(s.window)
+	}
 	if err != nil {
 		return fmt.Errorf("subprocess device: %v", err)
 	}
 	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(), WorkerEnv+"=1")
 	cmd.Stderr = os.Stderr
+	cmd.ExtraFiles = []*os.File{s.ar.f}
 	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return err
+	var stdout io.Reader
+	if err == nil {
+		stdout, err = cmd.StdoutPipe()
 	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return err
+	if err == nil {
+		err = cmd.Start()
 	}
-	if err := cmd.Start(); err != nil {
+	if err != nil {
+		s.closeArena()
 		return fmt.Errorf("subprocess device: %v", err)
 	}
 	s.cmd = cmd
 	return s.connect(stdin, spinning(stdout))
 }
 
-// connect runs the handshake over an established connection: the worker's
-// hello, under a timeout so a binary that does not serve the protocol is
-// an error instead of a hang, then Init with the device's ICV set so the
-// worker's runtime mirrors it.
+// connect runs the handshake: the worker's hello, under a timeout so a
+// binary that does not serve the protocol is an error instead of a hang,
+// then Init with the device's ICV set for the worker's runtime.
 func (s *subprocessDevice) connect(stdin io.WriteCloser, stdout io.Reader) error {
 	icvJSON, err := json.Marshal(s.icvs)
 	if err != nil {
 		return fmt.Errorf("subprocess device: ICVs: %v", err)
 	}
-	s.stdin = stdin
-	s.w, s.r = bufio.NewWriterSize(stdin, wireBufLen), bufio.NewReaderSize(stdout, wireBufLen)
-	hello := make(chan error, 1)
-	go func(r *bufio.Reader) {
-		got := make([]byte, len(helloMagic))
-		if _, _, err := readReply(r, got); err != nil {
-			hello <- err
-		} else if string(got) != helloMagic {
-			hello <- fmt.Errorf("bad hello %q", got)
-		} else {
-			hello <- nil
+	s.stdin, s.r = stdin, bufio.NewReaderSize(stdout, wireBufLen)
+	cmd := s.cmd // killing the child closes its pipe, which ends the read
+	timer := time.AfterFunc(10*time.Second, func() {
+		if cmd != nil {
+			cmd.Process.Kill()
 		}
-	}(s.r)
-	select {
-	case err := <-hello:
-		if err != nil {
-			return s.fail("handshake", err)
-		}
-	case <-time.After(10 * time.Second):
-		// Killing the child closes its pipe, which ends the reader too.
-		return s.fail("handshake", errors.New("timed out; does main call device.WorkerMain()?"))
+	})
+	_, got, err := readReply(s.r)
+	if !timer.Stop() {
+		err = errors.New("timed out; does main call device.WorkerMain()?")
+	} else if err == nil && got != helloMagic {
+		err = fmt.Errorf("bad hello %q", got)
 	}
-	return s.wait(&request{op: opInit, n: int64(len(icvJSON))}, icvJSON, nil)
+	if err != nil {
+		return s.fail("handshake", err)
+	}
+	return s.wait(&request{op: opInit, n: int64(len(icvJSON))}, icvJSON)
 }
 
 // readyLocked gates every operation: a failed device answers with its
@@ -357,54 +260,31 @@ func (s *subprocessDevice) readyLocked() error {
 	return s.startLocked()
 }
 
-// post writes one request frame and its payload into the buffered writer;
-// the caller holds s.mu and has passed readyLocked.
-func (s *subprocessDevice) post(req *request, payload []byte) error {
-	bad := len(req.name) > maxNameLen || len(req.args) > math.MaxUint8
-	for _, a := range req.args {
-		bad = bad || len(a.Name) > maxNameLen
-	}
-	if bad {
-		return fmt.Errorf("subprocess device: %s %q: a name over %d bytes or more than %d map items", opName(req.op), req.name, maxNameLen, math.MaxUint8)
-	}
-	s.scratch = appendRequest(s.scratch[:0], req)
-	if _, err := s.w.Write(s.scratch); err != nil {
-		return s.fail(opName(req.op), err)
-	}
-	if _, err := s.w.Write(payload); err != nil {
-		return s.fail(opName(req.op), err)
-	}
-	s.wireOut += int64(len(s.scratch) + len(payload))
-	return nil
-}
-
-// wait posts req, flushes everything posted so far and reads the one
-// reply, whose payload must fill dst exactly.
-func (s *subprocessDevice) wait(req *request, payload, dst []byte) error {
-	if err := s.post(req, payload); err != nil {
-		return err
-	}
-	if err := s.w.Flush(); err != nil {
-		return s.fail(opName(req.op), err)
-	}
+// wait writes one request frame and reads its reply, under s.mu after
+// readyLocked.
+func (s *subprocessDevice) wait(req *request, payload []byte) error {
+	s.scratch = append(appendRequest(s.scratch[:0], req), payload...)
 	s.waits++
-	status, text, err := readReply(s.r, dst)
-	if err != nil {
-		return s.fail(opName(req.op), err)
+	s.wireOut += int64(len(s.scratch))
+	if _, err := s.stdin.Write(s.scratch); err != nil {
+		return s.fail(opNames[req.op], err)
 	}
-	s.wireIn += int64(replyHeaderLen + len(dst) + len(text))
-	switch status {
-	case statusErr:
+	status, text, err := readReply(s.r)
+	if err == nil && status == statusOK && text != "" {
+		err = fmt.Errorf("reply carries %d bytes, expected none", len(text))
+	}
+	if err != nil {
+		return s.fail(opNames[req.op], err)
+	}
+	s.wireIn += int64(replyHeaderLen + len(text))
+	if status != statusOK {
 		return fmt.Errorf("subprocess device: %s", text)
-	case statusPosted:
-		return fmt.Errorf("subprocess device: %s not run, an earlier posted operation failed: %s", opName(req.op), text)
 	}
 	return nil
 }
 
-// fail makes a transport error sticky: the two streams are no longer in
-// step, so the child is killed and reaped and every later operation
-// returns the same error without touching the pipe.
+// fail makes a transport error sticky: the streams are out of step, so the
+// child is killed and reaped, and every later call returns this error.
 func (s *subprocessDevice) fail(op string, cause error) error {
 	who := "worker"
 	if s.cmd != nil {
@@ -419,8 +299,8 @@ func (s *subprocessDevice) fail(op string, cause error) error {
 	return s.broken
 }
 
-// reap closes the connection — EOF on stdin ends a live worker's loop —
-// and waits for the child, with a kill fallback so it never hangs.
+// reap closes stdin, which ends a live worker's loop, waits for the child
+// (killing it if need be, so it never hangs) and drops the arena.
 func (s *subprocessDevice) reap() error {
 	s.stdin.Close()
 	var err error
@@ -434,14 +314,24 @@ func (s *subprocessDevice) reap() error {
 			err = <-done
 		}
 	}
-	s.cmd, s.stdin, s.w, s.r = nil, nil, nil, nil
+	s.cmd, s.stdin, s.r = nil, nil, nil
+	s.closeArena()
 	return err
 }
 
-// Alloc posts the buffer's shape — type name and element count, never
-// contents — after checking the mappable-type rule host-side.
+// closeArena drops the host's side; the worker's mapping lives on with it.
+func (s *subprocessDevice) closeArena() {
+	if s.ar != nil {
+		s.ar.unmap()
+		s.ar.f.Close()
+		s.ar, s.bufs = nil, nil
+	}
+}
+
+// Alloc takes a span of the arena for the object after checking the
+// mappable-type rule; the worker learns of it from the Exec that uses it.
 func (s *subprocessDevice) Alloc(obj Object) (Ptr, error) {
-	name, count, err := obj.wireShape()
+	typ, count, err := obj.wireShape()
 	if err != nil {
 		return 0, err
 	}
@@ -450,47 +340,75 @@ func (s *subprocessDevice) Alloc(obj Object) (Ptr, error) {
 	if err := s.readyLocked(); err != nil {
 		return 0, err
 	}
-	s.next++
-	if err := s.post(&request{op: opAlloc, buf: uint64(s.next), name: name, n: count}, nil); err != nil {
-		return 0, err
+	off, reused, err := s.ar.alloc(obj.byteSize())
+	if err != nil {
+		return 0, fmt.Errorf("subprocess device: %v", err)
 	}
+	s.next++
+	s.bufs[s.next] = &span{off: off, n: obj.byteSize(), typ: typ, count: count, unfilled: reused}
 	return s.next, nil
 }
 
-// do runs one operation under the device lock: posted, or waited with the
-// reply read into dst.
-func (s *subprocessDevice) do(waited bool, req *request, payload, dst []byte) error {
+func (s *subprocessDevice) spanLocked(p Ptr) (*span, error) {
+	if err := s.readyLocked(); err != nil {
+		return nil, err
+	}
+	if b := s.bufs[p]; b != nil {
+		return b, nil
+	}
+	return nil, fmt.Errorf("subprocess device: unknown buffer %d", p)
+}
+
+// mem is b's storage in the host's mapping, cleared first if unfilled.
+func (s *subprocessDevice) mem(b *span) []byte {
+	m := s.ar.mem[b.off : b.off+b.n]
+	if b.unfilled {
+		clear(m)
+		b.unfilled = false
+	}
+	return m
+}
+
+// transfer is MapTo (to) and MapFrom: a copy through the host's mapping,
+// never cut short, since a span changes only during an Exec that the
+// caller waits for.
+func (s *subprocessDevice) transfer(p Ptr, obj Object, to bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.readyLocked(); err != nil {
+	b, err := s.spanLocked(p)
+	if err != nil {
 		return err
 	}
-	if waited {
-		return s.wait(req, payload, dst)
-	}
-	return s.post(req, payload)
-}
-
-// MapTo posts the object's raw memory. The bytes are copied (into the
-// writer's buffer or the pipe) before it returns, so the host may change
-// the object afterwards.
-func (s *subprocessDevice) MapTo(p Ptr, obj Object) error {
 	raw := obj.raw()
-	return s.do(false, &request{op: opMapTo, buf: uint64(p), n: int64(len(raw))}, raw, nil)
+	switch {
+	case int64(len(raw)) != b.n:
+		return fmt.Errorf("subprocess device: %d bytes for buffer %d of %d", len(raw), p, b.n)
+	case to:
+		b.unfilled = false
+		copy(s.mem(b), raw)
+	default:
+		copy(raw, s.mem(b))
+	}
+	return nil
 }
 
-// MapFrom waits for the buffer's contents, read straight into the object.
-func (s *subprocessDevice) MapFrom(p Ptr, obj Object) error {
-	return s.do(true, &request{op: opMapFrom, buf: uint64(p)}, nil, obj.raw())
-}
+func (s *subprocessDevice) MapTo(p Ptr, obj Object) error   { return s.transfer(p, obj, true) }
+func (s *subprocessDevice) MapFrom(p Ptr, obj Object) error { return s.transfer(p, obj, false) }
 
 func (s *subprocessDevice) Free(p Ptr) error {
-	return s.do(false, &request{op: opFree, buf: uint64(p)}, nil, nil)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, err := s.spanLocked(p)
+	if err == nil {
+		delete(s.bufs, p)
+		s.ar.release(b.off, b.n)
+	}
+	return err
 }
 
-// Exec ships the kernel name and argument bindings to the worker. Closure
-// kernels have no cross-process representation; the manager turns
-// ErrNotOffloadable into host fallback or a mandatory-offload failure.
+// Exec sends the kernel name, the launch and each argument's name, type,
+// count and span offset, and waits for the reply. Closure kernels cannot
+// cross; the manager turns ErrNotOffloadable into the offload policy.
 func (s *subprocessDevice) Exec(name string, k Kernel, cfg Launch, args []Arg) error {
 	if name == "" {
 		return ErrNotOffloadable
@@ -498,25 +416,36 @@ func (s *subprocessDevice) Exec(name string, k Kernel, cfg Launch, args []Arg) e
 	if _, ok := LookupKernel(name); !ok {
 		return fmt.Errorf("subprocess device: %w: %q", ErrNoKernel, name)
 	}
-	return s.do(true, &request{op: opExec, name: name, cfg: cfg, args: args}, nil, nil)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bad := len(name) > maxNameLen || len(args) > math.MaxUint8
+	s.args = s.args[:0]
+	for _, a := range args {
+		b, err := s.spanLocked(a.Ptr)
+		if err != nil {
+			return err
+		}
+		s.mem(b) // the kernel sees zeros, not a previous buffer's data
+		bad = bad || len(a.Name) > maxNameLen || len(b.typ) > maxNameLen
+		s.args = append(s.args, wireArg{name: a.Name, typ: b.typ, count: b.count, off: uint64(b.off)})
+	}
+	if bad {
+		return fmt.Errorf("subprocess device: exec %q: a name over %d bytes or more than %d map items", name, maxNameLen, math.MaxUint8)
+	}
+	if err := s.readyLocked(); err != nil {
+		return err
+	}
+	return s.wait(&request{op: opExec, name: name, cfg: cfg, args: s.args}, nil)
 }
 
-// Sync round-trips the pipe: the worker applies frames in order, so the
-// reply means everything posted before it has been applied.
+// Sync has nothing to drain; it reports the sticky failure, if any.
 func (s *subprocessDevice) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.broken != nil {
-		return s.broken
-	}
-	if !s.started || s.startErr != nil {
-		return nil // nothing ever ran
-	}
-	return s.wait(&request{op: opSync}, nil, nil)
+	return s.broken
 }
 
-// Close ends the worker: closing stdin EOFs its loop, then the child is
-// reaped. Frames posted and never waited on are dropped with it.
+// Close ends the worker (closing stdin EOFs its loop) and the arena.
 func (s *subprocessDevice) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,12 +3,22 @@ package device
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"repro/internal/core"
 )
+
+func init() {
+	// conf.nop ignores its environment: a launch priced by its maps alone.
+	RegisterKernel("conf.nop", func(*core.Runtime, Launch, *Env) {})
+}
 
 // liveSubprocess is a manager with one subprocess device whose worker is
 // already running, so wire counters start from a quiet connection.
@@ -36,23 +46,25 @@ func wireOf(s *subprocessDevice) wire {
 func (a wire) since(b wire) wire { return wire{a.waits - b.waits, a.out - b.out, a.in - b.in} }
 
 // TestWireRoundTripsByCount pins the protocol's cost in waits and bytes, not
-// in time: what the host blocks for and what crosses the pipe.
+// in time: what the host blocks for and what crosses the pipe. Mapped data
+// lives in the shared arena, so only Exec touches the pipe.
 func TestWireRoundTripsByCount(t *testing.T) {
 	m, dev, sub := liveSubprocess(t)
-	const slack = 512 // headers, names and arg records of a few frames
+	one := 1.0
+	const slack = 512 // headers, names and arg records of a frame or two
 
-	t.Run("enter data posts, the first launch waits once", func(t *testing.T) {
+	t.Run("data constructs wait 0 times, launches once", func(t *testing.T) {
 		items := []Mapping{
 			{Kind: MapTo, Name: "x", Data: []float64{1, 2, 3}},
 			{Kind: MapTo, Name: "y", Data: []float64{4, 5, 6}},
-			{Kind: MapTo, Name: "a", Data: new(float64)},
+			{Kind: MapTo, Name: "a", Data: &one},
 		}
 		before := wireOf(sub)
 		if err := m.TargetEnterData(dev, items...); err != nil {
 			t.Fatal(err)
 		}
-		if d := wireOf(sub).since(before); d.waits != 0 || d.in != 0 {
-			t.Fatalf("enter data of %d to-items waited %d times and read %d bytes, want 0 and 0", len(items), d.waits, d.in)
+		if d := wireOf(sub).since(before); d != (wire{}) {
+			t.Fatalf("enter data of %d to-items: %+v, want nothing on the wire", len(items), d)
 		}
 		// Resident launches: exactly one wait each, nothing re-sent.
 		for i := 0; i < 3; i++ {
@@ -64,55 +76,72 @@ func TestWireRoundTripsByCount(t *testing.T) {
 				t.Fatalf("resident launch %d: %+v, want 1 wait, a header out and a bare reply in", i, d)
 			}
 		}
+		before = wireOf(sub)
+		for i := range items {
+			items[i].Kind = MapFrom
+		}
+		if err := m.TargetUpdate(dev, items...); err != nil {
+			t.Fatal(err)
+		}
 		for i := range items {
 			items[i].Kind = MapRelease
 		}
-		before = wireOf(sub)
 		if err := m.TargetExitData(dev, items...); err != nil {
 			t.Fatal(err)
 		}
-		if d := wireOf(sub).since(before); d.waits != 0 {
-			t.Fatalf("release exit waited %d times, want 0", d.waits)
+		if d := wireOf(sub).since(before); d != (wire{}) {
+			t.Fatalf("update and exit data: %+v, want nothing on the wire", d)
+		}
+		if y := items[1].Data.([]float64); y[0] != 4+3*1 {
+			t.Fatalf("update from the device: y[0] = %v, want 7", y[0])
 		}
 	})
 
-	t.Run("target with one tofrom waits at most twice and moves n bytes each way", func(t *testing.T) {
+	t.Run("a tofrom of up to 1 MiB crosses as a header", func(t *testing.T) {
 		for _, n := range []int{1, 1000, 1 << 17} {
 			x := make([]float64, n)
-			bytes := int64(8 * n)
 			before := wireOf(sub)
 			if err := m.Target(dev, "conf.scale", nil, Launch{}, Mapping{Kind: MapToFrom, Name: "x", Data: x}); err != nil {
 				t.Fatal(err)
 			}
-			d := wireOf(sub).since(before)
-			if d.waits > 2 {
-				t.Fatalf("n=%d: %d waits, want at most 2", n, d.waits)
-			}
-			if d.out < bytes || d.out > bytes+slack || d.in < bytes || d.in > bytes+slack {
-				t.Fatalf("n=%d: wrote %d and read %d bytes for a %d-byte map(tofrom:), want that plus headers each way", n, d.out, d.in, bytes)
+			if d := wireOf(sub).since(before); d.waits != 1 || d.out >= slack || d.in >= slack {
+				t.Fatalf("n=%d: %d waits, wrote %d and read %d bytes for a %d-byte map(tofrom:); want 1 wait and under %d bytes each way", n, d.waits, d.out, d.in, 8*n, slack)
 			}
 		}
 	})
 
+	t.Run("every target waits once, whatever its maps", func(t *testing.T) {
+		var maps []Mapping
+		for k := 0; k <= 8; k++ {
+			before := wireOf(sub)
+			if err := m.Target(dev, "conf.nop", nil, Launch{}, maps...); err != nil {
+				t.Fatal(err)
+			}
+			if d := wireOf(sub).since(before); d.waits != 1 {
+				t.Fatalf("target with %d maps waited %d times, want 1", k, d.waits)
+			}
+			kind := []MapKind{MapToFrom, MapTo, MapFrom, MapAlloc}[k%4]
+			maps = append(maps, Mapping{Kind: kind, Name: fmt.Sprint("v", k), Data: make([]float64, 100*k+1)})
+		}
+	})
+
 	t.Run("alloc frame does not grow with the element count", func(t *testing.T) {
-		var sizes []int64
 		for _, n := range []int{1, 1 << 20} {
 			x := make([]float64, n)
 			before := wireOf(sub)
 			if err := m.TargetEnterData(dev, Mapping{Kind: MapAlloc, Name: "x", Data: x}); err != nil {
 				t.Fatal(err)
 			}
-			sizes = append(sizes, wireOf(sub).since(before).out)
+			if d := wireOf(sub).since(before); d != (wire{}) {
+				t.Fatalf("alloc of %d elements: %+v, want no frame at all", n, d)
+			}
 			if err := m.TargetExitData(dev, Mapping{Kind: MapDelete, Name: "x", Data: x}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if sizes[0] != sizes[1] || sizes[0] > slack {
-			t.Fatalf("alloc of 1 element wrote %d bytes, of 2^20 elements %d; want equal and small", sizes[0], sizes[1])
-		}
 	})
 	if err := sub.Sync(); err != nil {
-		t.Fatalf("a posted op failed along the way: %v", err)
+		t.Fatalf("the device failed along the way: %v", err)
 	}
 }
 
@@ -191,10 +220,10 @@ func TestRegisterTypeRefusesPointerfulTypes(t *testing.T) {
 }
 
 // loopback wires a subprocess device to a WorkerServe running in this
-// process over in-memory pipes. mangle, when non-nil, sits between the
-// worker and its reply pipe; hangup closes that pipe the way a dying
-// worker would. The returned buffers hold every byte that crossed, each
-// way; read them after stop.
+// process over in-memory pipes and the device's own arena. mangle, when
+// non-nil, sits between the worker and its reply pipe; hangup closes that
+// pipe the way a dying worker would. The returned buffers hold every byte
+// that crossed, each way; read them after stop.
 func loopback(t testing.TB, mangle func(w io.Writer, hangup func()) io.Writer) (s *subprocessDevice, reqs, reps *bytes.Buffer, stop func()) {
 	t.Helper()
 	reqR, reqW := io.Pipe() // host → worker
@@ -204,14 +233,19 @@ func loopback(t testing.TB, mangle func(w io.Writer, hangup func()) io.Writer) (
 	if mangle != nil {
 		out = mangle(out, func() { repW.Close() })
 	}
+	s = NewSubprocess(nil).(*subprocessDevice)
+	ar, err := newArena(s.window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ar = ar
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		WorkerServe(io.TeeReader(reqR, reqs), out)
+		WorkerServe(io.TeeReader(reqR, reqs), out, ar.f)
 		repW.Close()
 		reqR.Close()
 	}()
-	s = NewSubprocess(nil).(*subprocessDevice)
 	s.started = true
 	s.startErr = s.connect(reqW, repR)
 	stop = func() {
@@ -275,40 +309,48 @@ func TestLoopbackMatchesOracle(t *testing.T) {
 	}
 }
 
-// decodeRequests applies a request stream to a small fixed buffer table the
-// way WorkerServe does, less Alloc (whose size the stream declares) and
-// Exec (which would run kernels).
+// testArenaLen sizes the Go-heap arena the fuzzer decodes Exec arguments
+// against.
+const testArenaLen = 4096
+
+// decodeRequests applies a request stream the way WorkerServe does, less
+// running kernels: every Exec argument becomes a view of a small arena or
+// an error. A view is written through, and must lie inside the arena.
 func decodeRequests(t *testing.T, br *bufio.Reader) {
-	wk := &worker{bufs: map[uint64]workerBuf{}}
-	for id, n := range map[uint64]int64{1: 8, 2: 0, 3: -1} {
-		b, err := newWorkerBuf("float64", n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wk.bufs[id] = b
-	}
+	ar := &arena{mem: make([]byte, testArenaLen), size: testArenaLen}
+	lo := uintptr(unsafe.Pointer(&ar.mem[0]))
 	for {
 		req, err := readRequest(br)
-		if err != nil {
+		if err != nil || req.op == opInit && (req.n < 0 || req.n > maxInitBytes) {
 			return
 		}
-		switch req.op {
-		case opMapTo, opFree:
-			if _, err := wk.post(&req, br); err != nil {
-				return
+		if req.op == opInit {
+			br.Discard(int(req.n))
+		}
+		for i := range req.args {
+			v, err := ar.view(&req.args[i])
+			if err != nil {
+				continue
 			}
-		case opMapFrom, opSync:
-			var out []byte
-			wk.run(&req, &out)
+			raw := Object{Data: v}.raw()
+			if p := uintptr(unsafe.Pointer(unsafe.SliceData(raw))); len(raw) > 0 && (p < lo || p+uintptr(len(raw)) > lo+testArenaLen) {
+				t.Fatalf("argument %+v: view of %d bytes at %#x lies outside the arena [%#x, %#x)", req.args[i], len(raw), p, lo, lo+testArenaLen)
+			}
+			clear(raw)
 		}
 	}
 }
 
+// execFrame is one Exec request over the given arguments.
+func execFrame(args ...wireArg) []byte {
+	return appendRequest(nil, &request{op: opExec, name: "conf.scale", args: args})
+}
+
 // FuzzFrameDecode feeds arbitrary bytes to both decoders: the worker's
-// request side (frames applied to a small fixed buffer table, as
-// WorkerServe applies them, less Alloc and Exec) and the host's reply side.
-// Neither may panic, and neither may allocate by a length the input
-// declares: payloads land in the buffer they target or are skipped, names
+// request side (frames decoded and each Exec argument checked and viewed
+// against a small arena, as WorkerServe does before a kernel runs) and the
+// host's reply side. Neither may panic, no view may reach outside the
+// arena, and neither may allocate by a length the input declares: names
 // and error texts are capped before they are read.
 func FuzzFrameDecode(f *testing.F) {
 	reqs, reps := captureWire(f)
@@ -316,8 +358,19 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(reps)
 	f.Add(reqs[:reqHeaderLen])
 	f.Add(reps[:replyHeaderLen])
-	f.Add(appendRequest(nil, &request{op: opMapTo, buf: 1, n: 1 << 40}))
-	f.Add(appendRequest(nil, &request{op: opAlloc, buf: 9, name: "float64", n: 1 << 40}))
+	f64 := func(off uint64, count int64) wireArg {
+		return wireArg{name: "x", typ: "float64", count: count, off: off}
+	}
+	f.Add(execFrame(f64(testArenaLen-8, 1), f64(testArenaLen, 1), f64(testArenaLen, 0), f64(testArenaLen+64, 1)))
+	f.Add(execFrame(f64(0, 1<<62)))
+	f.Add(execFrame(f64(0, math.MaxInt64/8+1), wireArg{name: "p", typ: "device.point", count: math.MaxInt64 / 16}))
+	f.Add(execFrame(f64(0, -2), f64(0, -1), f64(4, -1)))
+	f.Add(execFrame(wireArg{name: "x", typ: "no.such.type", count: 1}))
+	many := make([]wireArg, 255)
+	for i := range many {
+		many[i] = f64(uint64(16*i), int64(i%3))
+	}
+	f.Add(execFrame(many...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -325,8 +378,8 @@ func FuzzFrameDecode(f *testing.F) {
 
 		decodeRequests(t, bufio.NewReader(bytes.NewReader(data)))
 		br := bufio.NewReader(bytes.NewReader(data))
-		for dst := make([]byte, 64); ; {
-			if _, _, err := readReply(br, dst); err != nil {
+		for {
+			if _, _, err := readReply(br); err != nil {
 				break
 			}
 		}

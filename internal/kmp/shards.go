@@ -95,11 +95,12 @@ func newShardSet(n int) *shardSet {
 // goroutine (frames may straddle the 1 KiB granule), so a fork computes it
 // once and threads the index through claim, steal and reinstall — the steal
 // sweep's "every slot but home" coverage depends on one consistent index.
+// The arithmetic is done in uint64 so the constant is legal on 32-bit
+// targets too.
 func (ss *shardSet) homeIndex() uintptr {
 	var marker byte
-	h := uintptr(unsafe.Pointer(&marker)) >> 10
-	h *= 0x9E3779B97F4A7C15
-	return (h >> 32) & ss.mask
+	h := uint64(uintptr(unsafe.Pointer(&marker))>>10) * 0x9E3779B97F4A7C15
+	return uintptr(h>>32) & ss.mask
 }
 
 // initShards installs the pool's shard table (called from NewPool).
