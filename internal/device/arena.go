@@ -7,14 +7,15 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"unsafe"
 )
 
 // arena is the subprocess device's memory: one object host and worker both
 // map shared over a fixed reserved window (sys_unix.go), so addresses stay
 // put while it grows by ftruncate; it never shrinks. Device buffers are
-// spans of it. The host owns the allocator and copies in and out directly;
-// the worker builds views over the spans an Exec names, once checked.
+// spans of it past the mailbox. The host owns the allocator and copies in
+// and out directly; the worker views the spans an Exec names, once checked.
 type arena struct {
 	f    *os.File
 	mem  []byte // the reserved window; only mem[:size] is backed
@@ -32,7 +33,27 @@ const (
 	arenaWindow = 1 << (28 + 8*(^uintptr(0)>>63)) // 64 GiB; 256 MiB on 32-bit
 	arenaGrain  = 1 << 20                         // the object grows in whole MiB
 	spanAlign   = 64                              // spans start on cache lines
+	mailboxLen  = arenaGrain                      // the object's head; spans lie past it
 )
+
+// mailbox overlays the arena's head: six control words, each on a cache
+// line of its own, then the two frame areas. Index 0 of each pair is the
+// host's, which posts requests; index 1 the worker's, which posts replies.
+type mailbox struct {
+	seq, parked, n [2]word // frames posted; parked on its pipe; the last frame's length
+	req            [maxRequestLen]byte
+	rep            [maxReplyLen]byte
+}
+
+type word struct {
+	atomic.Uint32
+	_ [spanAlign - 4]byte
+}
+
+func (a *arena) mailbox() *mailbox { return (*mailbox)(unsafe.Pointer(&a.mem[0])) }
+
+// area is the frame area side posts into.
+func (m *mailbox) area(side int) []byte { return [2][]byte{m.req[:], m.rep[:]}[side] }
 
 // spanSize rounds n up to whole spanAlign units, at least one.
 func spanSize(n int64) int64 { return max(spanAlign, (n+spanAlign-1)&^(spanAlign-1)) }
@@ -87,9 +108,9 @@ func (a *arena) holds(off, n uint64) bool { return off < uint64(a.size) && n <= 
 // or a pointer to one boxed value, as the host backend hands out. Element
 // types are pointer-free (the mappable-type rule), so any bytes are valid.
 // Every wire field is checked first — a registered type, a count ≥ -1 whose
-// byte size fits, an aligned span inside the object, whose size is re-read
-// only when a span lies past the size last seen — so a bad argument is an
-// error, never a view outside the arena.
+// byte size fits, an aligned span inside the object and past the mailbox,
+// whose size is re-read only when a span lies past the size last seen — so
+// a bad argument is an error, never a view outside the arena's spans.
 func (a *arena) view(w *wireArg) (any, error) {
 	t, ok := typesByName.Load(w.typ)
 	if !ok {
@@ -108,8 +129,8 @@ func (a *arena) view(w *wireArg) (any, error) {
 			a.size = min(fi.Size(), int64(len(a.mem)))
 		}
 	}
-	if !a.holds(w.off, size) || w.off%uint64(elem.Align()) != 0 {
-		return nil, fmt.Errorf("%d bytes at offset %d: outside the %d-byte arena or misaligned for %s", size, w.off, a.size, elem)
+	if w.off < mailboxLen || !a.holds(w.off, size) || w.off%uint64(elem.Align()) != 0 {
+		return nil, fmt.Errorf("%d bytes at offset %d: outside the arena's spans [%d, %d) or misaligned for %s", size, w.off, mailboxLen, a.size, elem)
 	}
 	p := unsafe.Add(unsafe.Pointer(unsafe.SliceData(a.mem)), w.off)
 	if w.count == -1 {

@@ -194,14 +194,15 @@ func TestArenaReleasedOnClose(t *testing.T) {
 }
 
 // TestMappingFailureStaysWithItsCaller: two goroutines share one device
-// with a 1 MiB arena window, and one of them maps past it. Its own calls
+// whose arena window leaves 1 MiB past the mailbox, and one of them maps
+// past it. Its own calls
 // fail with device memory exhausted, the other's never fail, and the
 // device stays usable: a mapping failure is not a lost device.
 func TestMappingFailureStaysWithItsCaller(t *testing.T) {
 	m := NewManager(nil)
 	defer m.Close()
 	sub := NewSubprocess(nil).(*subprocessDevice)
-	sub.window = arenaGrain
+	sub.window = mailboxLen + arenaGrain
 	dev := m.Register(sub)
 	big := make([]float64, arenaGrain/8+1)
 	bigTarget := func() error {

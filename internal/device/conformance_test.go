@@ -15,7 +15,7 @@ import (
 
 // TestMain doubles as the worker entry point: when the subprocess backend
 // re-executes this test binary with GOMP_TARGET_WORKER set, WorkerMain
-// serves the pipe protocol and exits instead of running the tests.
+// serves the mailbox protocol and exits instead of running the tests.
 func TestMain(m *testing.M) {
 	WorkerMain()
 	os.Exit(m.Run())
@@ -323,7 +323,7 @@ func TestKernelPanicSurfacesAndWorkerSurvives(t *testing.T) {
 			{name: "x", typ: "float64", count: -2},
 		} {
 			sub.mu.Lock()
-			err = sub.wait(&request{op: opExec, name: "conf.scale", args: []wireArg{bad}}, nil)
+			err = sub.call(&request{op: opExec, name: "conf.scale", args: []wireArg{bad}}, nil)
 			sub.mu.Unlock()
 			if err == nil || errors.Is(err, errDeviceLost) || !strings.Contains(err.Error(), `argument "x"`) {
 				t.Fatalf("exec over %+v: %v, want an argument error from a live worker", bad, err)

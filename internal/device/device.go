@@ -11,10 +11,12 @@
 //   - host (device 0): runs kernels in-process on a dedicated runtime (its
 //     own hot-team pool), with zero-copy maps — the host-fallback device
 //     every OpenMP implementation carries.
-//   - subprocess: re-executes the current binary as a worker child. The
-//     data environment lives in a shared memory arena both processes map
-//     (arena.go), so maps are memory copies on the host and only a kernel
-//     launch crosses the pipe (frame.go), as in libomptarget's plugins.
+//   - subprocess: re-executes the current binary as a worker child. Both
+//     processes map a shared memory arena (arena.go): maps are memory
+//     copies on the host, and a kernel launch is a frame in the mailbox at
+//     the arena's head, with a doorbell that touches the worker's pipe only
+//     when a side has parked (subprocess.go), as libomptarget's AMDGPU
+//     plugin writes packets to a user-mode queue.
 //     Kernels are registered by name (RegisterKernel), as a compiler
 //     registers device images; the worker resolves the same name because
 //     parent and child run the same binary.

@@ -3,7 +3,6 @@
 package device
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -140,11 +139,14 @@ func TestWorkerKilledBetweenCalls(t *testing.T) {
 	checkLost(t, m, dev, err, "exec", held, pid)
 }
 
+// TestWorkerKilledDuringExec: the kernel kills its worker at once, while
+// the host still polls the mailbox; the host parks, reads the end of the
+// worker's pipe and loses the device.
 func TestWorkerKilledDuringExec(t *testing.T) {
 	m, dev, sub := liveSubprocess(t)
 	held := resident(t, m, dev)
 	pid := sub.cmd.Process.Pid
-	err := within(t, 5*time.Second, "target whose worker dies mid-kernel", func() error {
+	err := within(t, 2*time.Second, "target whose worker dies mid-kernel", func() error {
 		return m.Target(dev, "conf.die", nil, Launch{}, Mapping{Kind: MapToFrom, Name: "x", Data: held})
 	})
 	checkLost(t, m, dev, err, "exec", held, pid)
@@ -153,156 +155,124 @@ func TestWorkerKilledDuringExec(t *testing.T) {
 	}
 }
 
-// Reply-stream damage, seen by the host decoder. The handshake is 52 bytes
-// (hello frame, Init's bare reply); the first reply after it is what gets
-// damaged.
-const handshakeReplyBytes = replyHeaderLen + len(helloMagic) + replyHeaderLen
-
-// damaged passes n bytes through, then calls hit on everything after.
-type damaged struct {
-	w   io.Writer
-	n   int
-	hit func(p []byte) (int, error)
+// fakeWorker stands in for WorkerServe: it serves the hello and the Init
+// handshake, then answers the first Exec by posting the length word damage
+// returns after writing into the reply area, and waits for the host to
+// hang up.
+func fakeWorker(damage func(area []byte) uint32) func(io.Reader, io.Writer, *os.File) error {
+	return func(r io.Reader, w io.Writer, f *os.File) error {
+		ar, err := mapArena(f, arenaWindow)
+		if err != nil {
+			return err
+		}
+		defer ar.unmap()
+		e := newEndpoint(ar.mailbox(), 1, r, w)
+		if _, err := w.Write(appendReply(nil, statusOK, helloMagic)); err != nil {
+			return err
+		}
+		if _, err := e.recv(); err != nil {
+			return err
+		}
+		if err := e.post(uint32(copy(e.rep[:], appendReply(nil, statusOK, "")))); err != nil {
+			return err
+		}
+		if _, err := e.recv(); err != nil {
+			return err
+		}
+		if err := e.post(damage(e.area(1))); err != nil {
+			return err
+		}
+		_, err = e.recv()
+		return err
+	}
 }
 
-func (d *damaged) Write(p []byte) (int, error) {
-	if d.n >= len(p) {
-		d.n -= len(p)
-		return d.w.Write(p)
+// damagedReply launches a target on a device whose reply to it is damaged,
+// checks that the device is lost, and that the error names the cause.
+func damagedReply(t *testing.T, cause string, damage func(area []byte) uint32) {
+	s, _ := loopback(t, fakeWorker(damage))
+	if s.startErr != nil {
+		t.Fatal(s.startErr)
 	}
-	k, err := d.w.Write(p[:d.n])
-	if err != nil {
-		return k, err
+	m := NewManager(nil)
+	dev := m.Register(s)
+	held := []float64{1, 2, 3}
+	if err := m.TargetEnterData(dev, Mapping{Kind: MapTo, Name: "held", Data: held}); err != nil {
+		t.Fatal(err)
 	}
-	m, err := d.hit(p[d.n:])
-	d.n = 0
-	return k + m, err
+	err := within(t, 5*time.Second, "target whose reply is damaged", func() error {
+		return m.Target(dev, "conf.scale", nil, Launch{}, Mapping{Kind: MapToFrom, Name: "x", Data: held})
+	})
+	checkLost(t, m, dev, err, "exec", held, 0)
+	if err != nil && !strings.Contains(err.Error(), cause) {
+		t.Errorf("cause is not %q: %v", cause, err)
+	}
 }
 
 func TestHostDecoderTruncatedReply(t *testing.T) {
-	s, _, _, _ := loopback(t, func(w io.Writer, hangup func()) io.Writer {
-		return &damaged{w: w, n: handshakeReplyBytes + 7, hit: func([]byte) (int, error) {
-			hangup()
-			return 0, io.ErrClosedPipe
-		}}
+	t.Run("length word past the reply area", func(t *testing.T) {
+		damagedReply(t, "exceeds the 65552-byte mailbox area", func(area []byte) uint32 {
+			return uint32(copy(area, appendReply(nil, statusOK, ""))) + maxErrBytes + 1
+		})
 	})
-	if s.startErr != nil {
-		t.Fatal(s.startErr)
-	}
-	m := NewManager(nil)
-	dev := m.Register(s)
-	held := []float64{1, 2, 3}
-	if err := m.TargetEnterData(dev, Mapping{Kind: MapTo, Name: "held", Data: held}); err != nil {
-		t.Fatal(err)
-	}
-	err := within(t, 5*time.Second, "target whose reply is cut short", func() error {
-		return m.Target(dev, "conf.scale", nil, Launch{}, Mapping{Kind: MapToFrom, Name: "x", Data: held})
+	t.Run("header cut by the length word", func(t *testing.T) {
+		damagedReply(t, io.ErrUnexpectedEOF.Error(), func(area []byte) uint32 {
+			copy(area, appendReply(nil, statusOK, ""))
+			return 7
+		})
 	})
-	checkLost(t, m, dev, err, "exec", held, 0)
-	if !errors.Is(err, io.ErrUnexpectedEOF) && !strings.Contains(err.Error(), "unexpected EOF") {
-		t.Errorf("cause is not the truncation: %v", err)
-	}
 }
 
 func TestHostDecoderGarbledReply(t *testing.T) {
-	s, _, _, _ := loopback(t, func(w io.Writer, _ func()) io.Writer {
-		return &damaged{w: w, n: handshakeReplyBytes, hit: func(p []byte) (int, error) {
-			return w.Write(bytes.Repeat([]byte{0xA5}, len(p)))
-		}}
-	})
-	if s.startErr != nil {
-		t.Fatal(s.startErr)
-	}
-	m := NewManager(nil)
-	dev := m.Register(s)
-	held := []float64{1, 2, 3}
-	if err := m.TargetEnterData(dev, Mapping{Kind: MapTo, Name: "held", Data: held}); err != nil {
-		t.Fatal(err)
-	}
-	err := within(t, 5*time.Second, "target whose reply is garbage", func() error {
-		return m.Target(dev, "conf.scale", nil, Launch{}, Mapping{Kind: MapToFrom, Name: "x", Data: held})
-	})
-	checkLost(t, m, dev, err, "exec", held, 0)
-	if !strings.Contains(err.Error(), "magic") {
-		t.Errorf("cause is not the bad header: %v", err)
-	}
-}
-
-// TestWorkerServeDamagedRequests cuts and garbles a real request stream:
-// the worker returns — nil when the cut fell between frames, an error
-// otherwise — and never hangs, panics or replies out of step.
-func TestWorkerServeDamagedRequests(t *testing.T) {
-	reqs, _ := captureWire(t)
-	ar, err := newArena(arenaWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ar.f.Close()
-	defer ar.unmap()
-	if err := ar.f.Truncate(arenaGrain); err != nil { // room for the captured spans
-		t.Fatal(err)
-	}
-	serve := func(in []byte) (replies []byte, err error) {
-		var out bytes.Buffer
-		err = within(t, 5*time.Second, "WorkerServe on a damaged stream", func() error {
-			return WorkerServe(bytes.NewReader(in), &out, ar.f)
+	t.Run("bad magic", func(t *testing.T) {
+		damagedReply(t, "magic", func(area []byte) uint32 {
+			return uint32(copy(area, bytes.Repeat([]byte{0xA5}, replyHeaderLen)))
 		})
-		return out.Bytes(), err
-	}
-	full, err := serve(reqs)
-	if err != nil {
-		t.Fatalf("intact stream: %v", err)
-	}
-	// Frame boundaries of the intact stream.
-	boundary := map[int]bool{0: true}
-	for off := 0; off < len(reqs); {
-		off += frameLen(t, reqs[off:])
-		boundary[off] = true
-	}
-	for cut := 0; cut < len(reqs); cut += 1 + cut/16 {
-		got, err := serve(reqs[:cut])
-		if boundary[cut] && err != nil {
-			t.Errorf("cut at frame boundary %d: %v", cut, err)
-		}
-		if !boundary[cut] && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("cut inside a frame at %d: err = %v, want unexpected EOF", cut, err)
-		}
-		if !bytes.HasPrefix(full, got) {
-			t.Errorf("cut at %d: replies are not a prefix of the intact run's", cut)
-		}
-	}
-	// A garbled header: the second frame's magic.
-	bad := append([]byte(nil), reqs...)
-	bad[frameLen(t, reqs)] ^= 0xFF
-	if _, err := serve(bad); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("garbled magic: err = %v", err)
-	}
-	// A garbled op and an oversized name.
-	bad = append([]byte(nil), reqs...)
-	bad[frameLen(t, reqs)+4] = 0xEE
-	if _, err := serve(bad); err == nil || !strings.Contains(err.Error(), "unknown op") {
-		t.Errorf("garbled op: err = %v", err)
-	}
-	bad = append([]byte(nil), reqs...)
-	bad[frameLen(t, reqs)+7] = 0xFF
-	if _, err := serve(bad); err == nil || !strings.Contains(err.Error(), "cap") {
-		t.Errorf("oversized name: err = %v", err)
-	}
+	})
+	t.Run("an OK reply carrying text", func(t *testing.T) {
+		damagedReply(t, "reply carries 8 bytes, expected none", func(area []byte) uint32 {
+			return uint32(copy(area, appendReply(nil, statusOK, "surprise")))
+		})
+	})
 }
 
-// frameLen is the length of the request frame at the head of b, Init's
-// payload included.
-func frameLen(t *testing.T, b []byte) int {
-	t.Helper()
-	rd := bytes.NewReader(b)
-	br := bufio.NewReader(rd)
-	req, err := readRequest(br)
-	if err != nil {
-		t.Fatal(err)
+// TestWorkerServeDamagedRequests posts damaged request frames to a live
+// worker: it returns an error naming the damage and posts no reply; it
+// never hangs or panics.
+func TestWorkerServeDamagedRequests(t *testing.T) {
+	frame := execFrame(wireArg{name: "x", typ: "float64", count: 1, off: mailboxLen}, wireArg{name: "y", typ: "float64", count: 2, off: mailboxLen + 64})
+	damaged := func(at int, b byte) []byte {
+		bad := bytes.Clone(frame)
+		bad[at] = b
+		return bad
 	}
-	n := len(b) - rd.Len() - br.Buffered()
-	if req.op == opInit {
-		n += int(req.n)
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		n     uint32 // the length word
+		want  string
+	}{
+		{"length word past the request area", frame, maxRequestLen + 1, "exceeds"},
+		{"frame cut inside a record", frame, reqHeaderLen + uint32(len("conf.scale")) + argHeaderLen + 1, io.ErrUnexpectedEOF.Error()},
+		{"bad magic", damaged(0, frame[0]^0xFF), uint32(len(frame)), "magic"},
+		{"unknown op", damaged(4, 0xEE), uint32(len(frame)), "unknown op"},
+		{"name over the cap", damaged(7, 0xFF), uint32(len(frame)), "cap"},
+	} {
+		s, served := loopback(t, WorkerServe)
+		if s.startErr != nil {
+			t.Fatal(s.startErr)
+		}
+		replies := s.end.seq[1].Load()
+		copy(s.end.area(0), c.frame)
+		if err := s.end.post(c.n); err != nil {
+			t.Fatal(err)
+		}
+		err := within(t, 5*time.Second, "WorkerServe on a damaged frame", served)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
+		if got := s.end.seq[1].Load(); got != replies {
+			t.Errorf("%s: the worker posted %d replies to a bad frame", c.name, got-replies)
+		}
 	}
-	return n
 }

@@ -1,7 +1,7 @@
 package device
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"runtime"
 	"sync"
 	"time"
 
@@ -20,13 +21,20 @@ import (
 // re-executes the current binary with it set, and WorkerMain serves.
 const WorkerEnv = "GOMP_TARGET_WORKER"
 
-// helloMagic opens a serving worker's replies; a binary that forgot to
-// call WorkerMain does not send it.
-const helloMagic = "gomp-device-worker-3"
+// helloMagic opens a serving worker's output; a binary that forgot to call
+// WorkerMain does not send it.
+const helloMagic = "gomp-device-worker-4"
 
-const (
-	wireBufLen = 64 << 10 // a pipe's capacity: a frame is one read
-	arenaFD    = 3        // the worker's arena: the first of ExtraFiles
+const arenaFD = 3 // the worker's arena: the first of ExtraFiles
+
+// pipeSpin bounds how long a side polls the mailbox before parking on its
+// pipe: about twice a parked round trip (≈ 45 µs on the reference sandbox).
+const pipeSpin = 100 * time.Microsecond
+
+var (
+	spin     = runtime.NumCPU() > 1 // else a side parks at once
+	yield    = func() {}            // sched_yield on Linux
+	wakeByte = []byte{1}
 )
 
 // errDeviceLost marks a sticky transport failure: the worker is gone and
@@ -36,105 +44,187 @@ var errDeviceLost = errors.New("device lost")
 // IsWorker reports whether this process was spawned as a device worker.
 func IsWorker() bool { return os.Getenv(WorkerEnv) != "" }
 
-// WorkerMain turns a worker process into a kernel server on its standard
-// pipes and the arena at arenaFD, exiting when the parent hangs up; in any
+// WorkerMain turns a worker process into a kernel server on the arena at
+// arenaFD and its standard pipes, exiting when the parent hangs up; in any
 // other process it returns at once. Programs that offload call it first
 // thing in main, so the re-executed binary serves instead of running.
 func WorkerMain() {
 	if !IsWorker() {
 		return
 	}
-	if err := WorkerServe(spinning(pollable(os.Stdin)), os.Stdout, os.NewFile(arenaFD, "gomp-device-arena")); err != nil {
+	if err := WorkerServe(os.Stdin, os.Stdout, os.NewFile(arenaFD, "gomp-device-arena")); err != nil {
 		fmt.Fprintf(os.Stderr, "gomp device worker: %v\n", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
+// endpoint is one side of the mailbox, 0 the host or 1 the worker, with the
+// pipes that carry wake bytes: in from the peer (EOF: it is gone), out to it.
+type endpoint struct {
+	*mailbox
+	side  int
+	in    io.Reader
+	out   io.Writer
+	seen  uint32 // the peer's sequence word at its last frame
+	frame []byte // the peer's last frame, copied out of its area
+}
+
+func newEndpoint(mb *mailbox, side int, in io.Reader, out io.Writer) *endpoint {
+	return &endpoint{mailbox: mb, side: side, in: in, out: out, seen: mb.seq[1-side].Load(), frame: make([]byte, len(mb.area(1-side)))}
+}
+
+// post publishes the n-byte frame in this side's area: length word, sequence
+// word, then a wake byte only if the peer had parked. A parking side sets
+// its parked word before it re-reads the sequence word, all four accesses
+// sequentially consistent: it sees the new sequence or is seen (Dekker).
+func (e *endpoint) post(n uint32) error {
+	e.n[e.side].Store(n)
+	e.seq[e.side].Add(1)
+	if e.parked[1-e.side].Swap(0) == 1 {
+		_, err := e.out.Write(wakeByte)
+		return err
+	}
+	return nil
+}
+
+// recv waits for the peer's next frame: it polls the peer's sequence word
+// for pipeSpin, yielding and reading the clock every 256 polls, then parks
+// on a wake byte, its parked word set only around a re-read and the park,
+// so a stale wake byte is harmless. It copies the frame out after checking
+// its length word, so the peer cannot change it under the decoder.
+func (e *endpoint) recv() ([]byte, error) {
+	peer := 1 - e.side
+	seq, parked := &e.seq[peer], &e.parked[e.side]
+	var deadline time.Time
+	for i := 1; spin && seq.Load() == e.seen; i++ {
+		if i%256 == 0 {
+			yield()
+			if now := time.Now(); deadline.IsZero() {
+				deadline = now.Add(pipeSpin)
+			} else if now.After(deadline) {
+				break
+			}
+		}
+	}
+	for seq.Load() == e.seen {
+		parked.Store(1)
+		if seq.Load() == e.seen {
+			if _, err := e.in.Read(e.frame[:1]); err != nil {
+				return nil, err
+			}
+		}
+		parked.Store(0)
+	}
+	e.seen = seq.Load()
+	n := e.n[peer].Load()
+	if n > uint32(len(e.frame)) {
+		return nil, fmt.Errorf("frame of %d bytes exceeds the %d-byte mailbox area", n, len(e.frame))
+	}
+	return e.frame[:copy(e.frame, e.area(peer)[:n])], nil
+}
+
+// worker is WorkerServe's state, with the last Exec that checked out.
+type worker struct {
+	*endpoint
+	ar   *arena
+	rt   *core.Runtime
+	last []byte
+	req  request
+	k    Kernel
+	env  *Env
+}
+
 // WorkerServe runs the worker loop on an explicit connection and arena
-// object (for tests and custom transports): hello, the Init handshake that
-// builds the runtime, then Execs over views of the arena. It returns nil
-// when the stream ends between frames, and an error when it ends inside
-// one or stops making sense: it never guesses where a frame starts.
+// object (for tests and custom transports): the hello on w, then Init and
+// Execs through the mailbox, with only wake bytes on r and w. It returns
+// nil when r ends, and an error on a frame it cannot trust.
 func WorkerServe(r io.Reader, w io.Writer, arenaFile *os.File) error {
 	ar, err := mapArena(arenaFile, arenaWindow)
 	if err != nil {
 		return err
 	}
 	defer ar.unmap()
-	br, icvs := bufio.NewReaderSize(r, wireBufLen), icv.Default()
-	if err := writeReply(w, statusOK, []byte(helloMagic)); err != nil {
-		return err
+	if ar.size < mailboxLen {
+		return fmt.Errorf("arena of %d bytes holds no mailbox", ar.size)
 	}
-	switch first, err := readRequest(br); {
-	case err == io.EOF:
-		return nil
-	case err != nil:
-		return fmt.Errorf("handshake: %w", err)
-	case first.op != opInit || first.n < 0 || first.n > maxInitBytes:
-		return fmt.Errorf("handshake: want init with at most %d payload bytes, got %s with %d", maxInitBytes, opNames[first.op], first.n)
-	default:
-		icvJSON := make([]byte, first.n)
-		if _, err := io.ReadFull(br, icvJSON); err != nil {
-			return fmt.Errorf("handshake: %w", truncated(err))
+	wk := &worker{endpoint: newEndpoint(ar.mailbox(), 1, r, w), ar: ar}
+	defer func() {
+		if wk.rt != nil {
+			wk.rt.Pool().Shutdown()
 		}
-		if err := json.Unmarshal(icvJSON, icvs); err != nil {
-			return fmt.Errorf("handshake: ICVs: %w", err)
-		}
-	}
-	rt := core.NewRuntime(icvs)
-	defer rt.Pool().Shutdown()
-	if err := writeReply(w, statusOK, nil); err != nil {
+	}()
+	if _, err := w.Write(appendReply(nil, statusOK, helloMagic)); err != nil {
 		return err
 	}
 	for {
-		req, err := readRequest(br)
-		switch {
-		case err == io.EOF:
+		frame, err := wk.recv()
+		status, fail := statusOK, ""
+		if err == nil {
+			fail, err = wk.serve(frame)
+		}
+		if err == io.EOF {
 			return nil
-		case err != nil:
+		} else if err != nil {
 			return err
-		case req.op != opExec:
-			return fmt.Errorf("init after the handshake")
+		} else if fail != "" {
+			status, fail = statusErr, "worker: "+fail
 		}
-		status, out := statusOK, []byte(nil)
-		if fail := exec1(ar, rt, &req); fail != "" {
-			status, out = statusErr, []byte("worker: "+fail)
-		}
-		if err := writeReply(w, status, out); err != nil {
+		fail = fail[:min(len(fail), maxErrBytes)] // so the reply fits its area
+		if err := wk.post(uint32(len(appendReply(wk.rep[:0], status, fail)))); err != nil {
 			return err
 		}
 	}
 }
 
-// exec1 runs a kernel over views of the arena; a bad argument or a panic
-// is a wire error.
-func exec1(ar *arena, rt *core.Runtime, req *request) (fail string) {
-	k, ok := LookupKernel(req.name)
-	if !ok {
-		return fmt.Sprintf("%v: %q", ErrNoKernel, req.name)
-	}
-	vals := make(map[string]any, len(req.args))
-	for i, a := range req.args {
-		v, err := ar.view(&req.args[i])
-		if err != nil {
-			return fmt.Sprintf("kernel %q: argument %q: %v", req.name, a.name, err)
+// serve handles one frame: Init, which builds the runtime, then Execs. A bad
+// argument or a panic is a wire error (fail); a frame that does not decode
+// or comes out of turn ends the worker (err). An Exec equal byte for byte to
+// the last one that checked out reuses its kernel, launch and views: the
+// arena never shrinks while the worker lives, the type registry is fixed at
+// init, and the frame carries every field the views were checked on.
+func (wk *worker) serve(frame []byte) (fail string, err error) {
+	if len(wk.last) == 0 || !bytes.Equal(frame, wk.last) {
+		wk.last = wk.last[:0]
+		var payload []byte
+		if wk.req, payload, err = parseRequest(frame); err == nil && (wk.req.op == opInit) != (wk.rt == nil) {
+			err = fmt.Errorf("%s out of turn", opNames[wk.req.op])
 		}
-		vals[a.name] = v
+		if err == nil && wk.req.op == opInit {
+			icvs := icv.Default()
+			if err = json.Unmarshal(payload, icvs); err == nil {
+				wk.rt = core.NewRuntime(icvs)
+				return "", nil
+			}
+		}
+		if err != nil {
+			return "", err
+		}
+		var ok bool
+		if wk.k, ok = LookupKernel(wk.req.name); !ok {
+			return fmt.Sprintf("%v: %q", ErrNoKernel, wk.req.name), nil
+		}
+		vals := make(map[string]any, len(wk.req.args))
+		for i, a := range wk.req.args {
+			if vals[a.name], err = wk.ar.view(&wk.req.args[i]); err != nil {
+				return fmt.Sprintf("kernel %q: argument %q: %v", wk.req.name, a.name, err), nil
+			}
+		}
+		wk.env, wk.last = NewEnv(vals), append(wk.last, frame...)
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			fail = fmt.Sprintf("kernel %q panicked: %v", req.name, r)
+			fail = fmt.Sprintf("kernel %q panicked: %v", wk.req.name, r)
 		}
 	}()
-	k(rt, req.cfg, NewEnv(vals))
-	return ""
+	wk.k(wk.rt, wk.req.cfg, wk.env)
+	return "", nil
 }
 
 // subprocessDevice proxies Device calls to a worker child. Buffers are spans
-// of an arena both processes map, so only Exec crosses the pipe: one frame
-// out, one reply back. The child is spawned lazily on first use; all
-// operations serialise on s.mu.
+// of an arena both processes map, so only Exec crosses to the worker: one
+// frame out through the mailbox, one reply back. The child is spawned
+// lazily; all operations serialise on s.mu, so one request is outstanding.
 type subprocessDevice struct {
 	icvs   *icv.Set
 	window int64 // the arena's reserved range
@@ -145,7 +235,7 @@ type subprocessDevice struct {
 	broken   error // sticky: a transport failure, or Close
 	cmd      *exec.Cmd
 	stdin    io.WriteCloser
-	r        *bufio.Reader
+	end      *endpoint
 	scratch  []byte    // request encoding, reused
 	args     []wireArg // Exec's argument records, reused
 	ar       *arena
@@ -221,34 +311,36 @@ func (s *subprocessDevice) spawn() error {
 		return fmt.Errorf("subprocess device: %v", err)
 	}
 	s.cmd = cmd
-	return s.connect(stdin, spinning(stdout))
+	return s.connect(stdin, stdout)
 }
 
-// connect runs the handshake: the worker's hello, under a timeout so a
-// binary that does not serve the protocol is an error instead of a hang,
-// then Init with the device's ICV set for the worker's runtime.
+// connect runs the handshake: the worker's hello on its pipe, under a
+// timeout so a binary that does not serve the protocol is an error instead
+// of a hang, then Init with the device's ICV set for the worker's runtime.
+// After the hello the pipes carry only wake bytes.
 func (s *subprocessDevice) connect(stdin io.WriteCloser, stdout io.Reader) error {
 	icvJSON, err := json.Marshal(s.icvs)
 	if err != nil {
 		return fmt.Errorf("subprocess device: ICVs: %v", err)
 	}
-	s.stdin, s.r = stdin, bufio.NewReaderSize(stdout, wireBufLen)
+	s.stdin, s.end = stdin, newEndpoint(s.ar.mailbox(), 0, stdout, stdin)
 	cmd := s.cmd // killing the child closes its pipe, which ends the read
 	timer := time.AfterFunc(10*time.Second, func() {
 		if cmd != nil {
 			cmd.Process.Kill()
 		}
 	})
-	_, got, err := readReply(s.r)
+	hello := make([]byte, replyHeaderLen+len(helloMagic))
+	_, err = io.ReadFull(stdout, hello)
 	if !timer.Stop() {
 		err = errors.New("timed out; does main call device.WorkerMain()?")
-	} else if err == nil && got != helloMagic {
-		err = fmt.Errorf("bad hello %q", got)
+	} else if err == nil && !bytes.Equal(hello, appendReply(nil, statusOK, helloMagic)) {
+		err = fmt.Errorf("bad hello %q", hello)
 	}
 	if err != nil {
 		return s.fail("handshake", err)
 	}
-	return s.wait(&request{op: opInit, n: int64(len(icvJSON))}, icvJSON)
+	return s.call(&request{op: opInit, n: int64(len(icvJSON))}, icvJSON)
 }
 
 // readyLocked gates every operation: a failed device answers with its
@@ -260,30 +352,34 @@ func (s *subprocessDevice) readyLocked() error {
 	return s.startLocked()
 }
 
-// wait writes one request frame and reads its reply, under s.mu after
+// call posts one request frame and waits for its reply, under s.mu after
 // readyLocked.
-func (s *subprocessDevice) wait(req *request, payload []byte) error {
+func (s *subprocessDevice) call(req *request, payload []byte) error {
 	s.scratch = append(appendRequest(s.scratch[:0], req), payload...)
 	s.waits++
 	s.wireOut += int64(len(s.scratch))
-	if _, err := s.stdin.Write(s.scratch); err != nil {
-		return s.fail(opNames[req.op], err)
+	err := s.end.post(uint32(copy(s.end.req[:], s.scratch)))
+	rep, status, text := []byte(nil), statusOK, ""
+	if err == nil {
+		rep, err = s.end.recv()
 	}
-	status, text, err := readReply(s.r)
+	if err == nil {
+		status, text, err = parseReply(rep)
+	}
 	if err == nil && status == statusOK && text != "" {
 		err = fmt.Errorf("reply carries %d bytes, expected none", len(text))
 	}
 	if err != nil {
 		return s.fail(opNames[req.op], err)
 	}
-	s.wireIn += int64(replyHeaderLen + len(text))
+	s.wireIn += int64(len(rep))
 	if status != statusOK {
 		return fmt.Errorf("subprocess device: %s", text)
 	}
 	return nil
 }
 
-// fail makes a transport error sticky: the streams are out of step, so the
+// fail makes a transport error sticky: the mailbox is out of step, so the
 // child is killed and reaped, and every later call returns this error.
 func (s *subprocessDevice) fail(op string, cause error) error {
 	who := "worker"
@@ -299,7 +395,7 @@ func (s *subprocessDevice) fail(op string, cause error) error {
 	return s.broken
 }
 
-// reap closes stdin, which ends a live worker's loop, waits for the child
+// reap closes stdin, which ends a live worker's wait, waits for the child
 // (killing it if need be, so it never hangs) and drops the arena.
 func (s *subprocessDevice) reap() error {
 	s.stdin.Close()
@@ -314,7 +410,7 @@ func (s *subprocessDevice) reap() error {
 			err = <-done
 		}
 	}
-	s.cmd, s.stdin, s.r = nil, nil, nil
+	s.cmd, s.stdin, s.end = nil, nil, nil
 	s.closeArena()
 	return err
 }
@@ -435,7 +531,7 @@ func (s *subprocessDevice) Exec(name string, k Kernel, cfg Launch, args []Arg) e
 	if err := s.readyLocked(); err != nil {
 		return err
 	}
-	return s.wait(&request{op: opExec, name: name, cfg: cfg, args: s.args}, nil)
+	return s.call(&request{op: opExec, name: name, cfg: cfg, args: s.args}, nil)
 }
 
 // Sync has nothing to drain; it reports the sticky failure, if any.

@@ -11,8 +11,10 @@ import (
 // mapped MAP_NORESERVE so the window commits nothing. syscall has no
 // memfd_create and lacks its number on amd64, hence the table; other
 // architectures, and kernels without the call, use the temporary file.
+// The mailbox's poll loop yields so two pollers on few processors share.
 func init() {
 	mapFlags |= syscall.MAP_NORESERVE
+	yield = func() { syscall.RawSyscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) }
 	nr := map[string]uintptr{"amd64": 319, "386": 356, "arm": 385, "arm64": 279, "riscv64": 279, "loong64": 279}[runtime.GOARCH]
 	if nr == 0 {
 		return

@@ -4,7 +4,6 @@ package device
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 )
@@ -16,7 +15,3 @@ var errNoArena = fmt.Errorf("no shared memory arena on %s", runtime.GOOS)
 func newArena(int64) (*arena, error)           { return nil, errNoArena }
 func mapArena(*os.File, int64) (*arena, error) { return nil, errNoArena }
 func (a *arena) unmap() error                  { return nil }
-
-// No portable way to poll a pipe here: reads park at once.
-func spinning(r io.Reader) io.Reader { return r }
-func pollable(f *os.File) *os.File   { return f }

@@ -1,12 +1,14 @@
 package device
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -46,8 +48,8 @@ func wireOf(s *subprocessDevice) wire {
 func (a wire) since(b wire) wire { return wire{a.waits - b.waits, a.out - b.out, a.in - b.in} }
 
 // TestWireRoundTripsByCount pins the protocol's cost in waits and bytes, not
-// in time: what the host blocks for and what crosses the pipe. Mapped data
-// lives in the shared arena, so only Exec touches the pipe.
+// in time: what the host waits for and what crosses the mailbox. Mapped
+// data lives in the shared arena, so only Exec crosses.
 func TestWireRoundTripsByCount(t *testing.T) {
 	m, dev, sub := liveSubprocess(t)
 	one := 1.0
@@ -219,20 +221,14 @@ func TestRegisterTypeRefusesPointerfulTypes(t *testing.T) {
 	RegisterType(node{})
 }
 
-// loopback wires a subprocess device to a WorkerServe running in this
-// process over in-memory pipes and the device's own arena. mangle, when
-// non-nil, sits between the worker and its reply pipe; hangup closes that
-// pipe the way a dying worker would. The returned buffers hold every byte
-// that crossed, each way; read them after stop.
-func loopback(t testing.TB, mangle func(w io.Writer, hangup func()) io.Writer) (s *subprocessDevice, reqs, reps *bytes.Buffer, stop func()) {
+// loopback wires a subprocess device to serve — WorkerServe, or a stand-in
+// with its signature — running in this process over in-memory pipes and the
+// device's own arena. served waits for serve to return and gives its error;
+// cleanup closes the device, which hangs up on the worker.
+func loopback(t testing.TB, serve func(r io.Reader, w io.Writer, arenaFile *os.File) error) (s *subprocessDevice, served func() error) {
 	t.Helper()
 	reqR, reqW := io.Pipe() // host → worker
 	repR, repW := io.Pipe() // worker → host
-	reqs, reps = new(bytes.Buffer), new(bytes.Buffer)
-	var out io.Writer = io.MultiWriter(repW, reps)
-	if mangle != nil {
-		out = mangle(out, func() { repW.Close() })
-	}
 	s = NewSubprocess(nil).(*subprocessDevice)
 	ar, err := newArena(s.window)
 	if err != nil {
@@ -240,61 +236,84 @@ func loopback(t testing.TB, mangle func(w io.Writer, hangup func()) io.Writer) (
 	}
 	s.ar = ar
 	done := make(chan struct{})
+	var serveErr error
 	go func() {
 		defer close(done)
-		WorkerServe(io.TeeReader(reqR, reqs), out, ar.f)
+		serveErr = serve(reqR, repW, ar.f)
 		repW.Close()
 		reqR.Close()
 	}()
 	s.started = true
 	s.startErr = s.connect(reqW, repR)
-	stop = func() {
+	served = func() error {
+		<-done
+		return serveErr
+	}
+	t.Cleanup(func() {
 		s.Close()
 		reqW.Close()
 		<-done
-	}
-	t.Cleanup(stop)
-	return s, reqs, reps, stop
+	})
+	return s, served
 }
 
 // captureWire runs the conformance kernels over a loopback connection and
-// returns the request and reply streams they produced, handshake included.
-func captureWire(t testing.TB) (reqs, reps []byte) {
+// returns every request and reply frame they produced, handshake included:
+// each read back from the mailbox after its call.
+func captureWire(t testing.TB) (reqs, reps [][]byte) {
 	t.Helper()
-	s, reqBuf, repBuf, stop := loopback(t, nil)
+	s, _ := loopback(t, WorkerServe)
 	if s.startErr != nil {
 		t.Fatal(s.startErr)
 	}
+	mb := s.end.mailbox
+	reps = append(reps, appendReply(nil, statusOK, helloMagic))
+	snap := func() {
+		reqs = append(reqs, bytes.Clone(mb.area(0)[:mb.n[0].Load()]))
+		reps = append(reps, bytes.Clone(mb.area(1)[:mb.n[1].Load()]))
+	}
+	snap()
 	m := NewManager(nil)
 	dev := m.Register(s)
 	rng := rand.New(rand.NewSource(4))
 	x, y, a := randSlice(rng, 33), randSlice(rng, 33), 1.5
 	pts, out, sum := make([]point, 9), make([]float64, 9), 0.0
-	for _, err := range []error{
-		m.Target(dev, "conf.scale", nil, Launch{NumTeams: 2, ThreadLimit: 2}, Mapping{Kind: MapToFrom, Name: "x", Data: x}),
-		m.Target(dev, "conf.saxpy", nil, Launch{NumTeams: 2},
-			Mapping{Kind: MapTo, Name: "a", Data: &a}, Mapping{Kind: MapTo, Name: "x", Data: x}, Mapping{Kind: MapToFrom, Name: "y", Data: y}),
-		m.Target(dev, "conf.norm", nil, Launch{NumTeams: 3},
-			Mapping{Kind: MapTo, Name: "pts", Data: pts}, Mapping{Kind: MapFrom, Name: "out", Data: out}),
-		m.Target(dev, "conf.sum", nil, Launch{},
-			Mapping{Kind: MapTo, Name: "x", Data: x}, Mapping{Kind: MapToFrom, Name: "sum", Data: &sum}),
-		s.Sync(),
+	for _, call := range []func() error{
+		func() error {
+			return m.Target(dev, "conf.scale", nil, Launch{NumTeams: 2, ThreadLimit: 2}, Mapping{Kind: MapToFrom, Name: "x", Data: x})
+		},
+		func() error {
+			return m.Target(dev, "conf.saxpy", nil, Launch{NumTeams: 2},
+				Mapping{Kind: MapTo, Name: "a", Data: &a}, Mapping{Kind: MapTo, Name: "x", Data: x}, Mapping{Kind: MapToFrom, Name: "y", Data: y})
+		},
+		func() error {
+			return m.Target(dev, "conf.norm", nil, Launch{NumTeams: 3},
+				Mapping{Kind: MapTo, Name: "pts", Data: pts}, Mapping{Kind: MapFrom, Name: "out", Data: out})
+		},
+		func() error {
+			return m.Target(dev, "conf.sum", nil, Launch{},
+				Mapping{Kind: MapTo, Name: "x", Data: x}, Mapping{Kind: MapToFrom, Name: "sum", Data: &sum})
+		},
 	} {
-		if err != nil {
+		if err := call(); err != nil {
 			t.Fatal(err)
 		}
+		snap()
 	}
 	if err := m.Target(dev, "conf.panic", nil, Launch{}); err == nil {
 		t.Fatal("conf.panic did not fail")
 	}
-	stop()
-	return reqBuf.Bytes(), repBuf.Bytes()
+	snap()
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return reqs, reps
 }
 
 // TestLoopbackMatchesOracle keeps the loopback harness honest: the same
 // kernels, through the same frames, give the serial answer.
 func TestLoopbackMatchesOracle(t *testing.T) {
-	s, _, _, _ := loopback(t, nil)
+	s, _ := loopback(t, WorkerServe)
 	if s.startErr != nil {
 		t.Fatal(s.startErr)
 	}
@@ -309,84 +328,136 @@ func TestLoopbackMatchesOracle(t *testing.T) {
 	}
 }
 
-// testArenaLen sizes the Go-heap arena the fuzzer decodes Exec arguments
-// against.
+// testArenaLen sizes the spans past the mailbox of the Go-heap arena the
+// fuzzer decodes Exec arguments against.
 const testArenaLen = 4096
-
-// decodeRequests applies a request stream the way WorkerServe does, less
-// running kernels: every Exec argument becomes a view of a small arena or
-// an error. A view is written through, and must lie inside the arena.
-func decodeRequests(t *testing.T, br *bufio.Reader) {
-	ar := &arena{mem: make([]byte, testArenaLen), size: testArenaLen}
-	lo := uintptr(unsafe.Pointer(&ar.mem[0]))
-	for {
-		req, err := readRequest(br)
-		if err != nil || req.op == opInit && (req.n < 0 || req.n > maxInitBytes) {
-			return
-		}
-		if req.op == opInit {
-			br.Discard(int(req.n))
-		}
-		for i := range req.args {
-			v, err := ar.view(&req.args[i])
-			if err != nil {
-				continue
-			}
-			raw := Object{Data: v}.raw()
-			if p := uintptr(unsafe.Pointer(unsafe.SliceData(raw))); len(raw) > 0 && (p < lo || p+uintptr(len(raw)) > lo+testArenaLen) {
-				t.Fatalf("argument %+v: view of %d bytes at %#x lies outside the arena [%#x, %#x)", req.args[i], len(raw), p, lo, lo+testArenaLen)
-			}
-			clear(raw)
-		}
-	}
-}
 
 // execFrame is one Exec request over the given arguments.
 func execFrame(args ...wireArg) []byte {
 	return appendRequest(nil, &request{op: opExec, name: "conf.scale", args: args})
 }
 
-// FuzzFrameDecode feeds arbitrary bytes to both decoders: the worker's
-// request side (frames decoded and each Exec argument checked and viewed
-// against a small arena, as WorkerServe does before a kernel runs) and the
-// host's reply side. Neither may panic, no view may reach outside the
-// arena, and neither may allocate by a length the input declares: names
-// and error texts are capped before they are read.
+// lengthWord prefixes frame with the length word n: a fuzz input.
+func lengthWord(n uint32, frame []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, n), frame...)
+}
+
+// deliver lays a fuzz input into area as a peer would post it: the bytes
+// its length word n names hold body, zero-padded, and the 64 bytes after
+// them hold poison, which no decoder may read.
+func deliver(area []byte, n uint32, body []byte, poison byte) {
+	named := area[:min(uint64(n), uint64(len(area)))]
+	clear(named[copy(named, body):])
+	tail := area[len(named):min(len(area), len(named)+64)]
+	for i := range tail {
+		tail[i] = poison
+	}
+}
+
+// FuzzFrameDecode posts arbitrary frames to both ends of a mailbox: a
+// length word (the input's first four bytes) and the frame (the rest). The
+// worker's side takes the request as WorkerServe does — length checked
+// against the area, copied out, decoded — and checks and views each Exec
+// argument against the arena; the host's side takes and decodes the
+// reply. Neither may panic or read past what the length word names (the
+// bytes past it are poisoned two ways and must not change the outcome), no
+// view may reach outside the arena's spans, and neither may allocate by a
+// length the input declares: names and texts are capped before they are
+// read.
 func FuzzFrameDecode(f *testing.F) {
 	reqs, reps := captureWire(f)
-	f.Add(reqs)
-	f.Add(reps)
-	f.Add(reqs[:reqHeaderLen])
-	f.Add(reps[:replyHeaderLen])
+	stream := func(frames [][]byte) []byte { return bytes.Join(frames, nil) }
+	// The seeds of the stream decoders, each posted whole.
+	for _, b := range [][]byte{stream(reqs), stream(reps), stream(reqs)[:reqHeaderLen], stream(reps)[:replyHeaderLen]} {
+		f.Add(lengthWord(uint32(len(b)), b))
+	}
 	f64 := func(off uint64, count int64) wireArg {
 		return wireArg{name: "x", typ: "float64", count: count, off: off}
 	}
-	f.Add(execFrame(f64(testArenaLen-8, 1), f64(testArenaLen, 1), f64(testArenaLen, 0), f64(testArenaLen+64, 1)))
-	f.Add(execFrame(f64(0, 1<<62)))
-	f.Add(execFrame(f64(0, math.MaxInt64/8+1), wireArg{name: "p", typ: "device.point", count: math.MaxInt64 / 16}))
-	f.Add(execFrame(f64(0, -2), f64(0, -1), f64(4, -1)))
-	f.Add(execFrame(wireArg{name: "x", typ: "no.such.type", count: 1}))
+	end := uint64(mailboxLen + testArenaLen)
 	many := make([]wireArg, 255)
 	for i := range many {
-		many[i] = f64(uint64(16*i), int64(i%3))
+		many[i] = f64(mailboxLen+uint64(16*i), int64(i%3))
 	}
-	f.Add(execFrame(many...))
-	f.Add([]byte{})
+	for _, b := range [][]byte{
+		execFrame(f64(end-8, 1), f64(end, 1), f64(end, 0), f64(end+64, 1)),
+		execFrame(f64(mailboxLen, 1<<62)),
+		execFrame(f64(mailboxLen, math.MaxInt64/8+1), wireArg{name: "p", typ: "device.point", count: math.MaxInt64 / 16}),
+		execFrame(f64(mailboxLen, -2), f64(mailboxLen, -1), f64(mailboxLen+4, -1)),
+		execFrame(wireArg{name: "x", typ: "no.such.type", count: 1}),
+		execFrame(many...),
+		{},
+	} {
+		f.Add(lengthWord(uint32(len(b)), b))
+	}
+	// New with the mailbox: views into it, length words at and past each
+	// area, every captured frame, and a frame cut at every record boundary.
+	f.Add(lengthWord(0, execFrame(f64(0, 1), f64(512, 8), f64(mailboxLen-8, 1), f64(mailboxLen-8, 2))))
+	saxpy := reqs[2]
+	for _, n := range []uint32{maxRequestLen, maxRequestLen + 1, maxReplyLen, maxReplyLen + 1, math.MaxUint32} {
+		f.Add(lengthWord(n, saxpy))
+	}
+	for _, b := range append(reqs, reps...) {
+		f.Add(lengthWord(uint32(len(b)), b))
+	}
+	cuts := []int{reqHeaderLen, reqHeaderLen + len("conf.saxpy")}
+	for i := 0; i < 3; i++ {
+		rec := cuts[len(cuts)-1]
+		nameLen, typLen := int(binary.LittleEndian.Uint16(saxpy[rec+16:])), int(binary.LittleEndian.Uint16(saxpy[rec+18:]))
+		cuts = append(cuts, rec+argHeaderLen, rec+argHeaderLen+nameLen, rec+argHeaderLen+nameLen+typLen)
+	}
+	for _, cut := range cuts {
+		f.Add(lengthWord(uint32(cut), saxpy[:cut]))
+	}
+
+	ar := &arena{mem: make([]byte, mailboxLen+testArenaLen), size: mailboxLen + testArenaLen}
+	lo, hi := uintptr(unsafe.Pointer(&ar.mem[mailboxLen])), uintptr(unsafe.Pointer(&ar.mem[0]))+uintptr(len(ar.mem))
+	mb := ar.mailbox()
+	wk := &worker{endpoint: newEndpoint(mb, 1, nil, io.Discard), ar: ar}
+	host := newEndpoint(mb, 0, nil, io.Discard)
+	take := func(t *testing.T, n uint32, body []byte, poison byte) (req request, rep string, err [2]error) {
+		deliver(mb.area(0), n, body, poison)
+		mb.n[0].Store(n)
+		mb.seq[0].Add(1)
+		frame, err0 := wk.recv()
+		if err[0] = err0; err0 == nil {
+			req, _, err[0] = parseRequest(frame)
+		}
+		for i := range req.args {
+			v, verr := ar.view(&req.args[i])
+			if verr != nil {
+				continue
+			}
+			raw := Object{Data: v}.raw()
+			if p := uintptr(unsafe.Pointer(unsafe.SliceData(raw))); len(raw) > 0 && (p < lo || p+uintptr(len(raw)) > hi) {
+				t.Fatalf("argument %+v: view of %d bytes at %#x lies outside the arena's spans [%#x, %#x)", req.args[i], len(raw), p, lo, hi)
+			}
+			clear(raw)
+		}
+		deliver(mb.area(1), n, body, poison)
+		mb.n[1].Store(n)
+		mb.seq[1].Add(1)
+		b, err1 := host.recv()
+		if err[1] = err1; err1 == nil {
+			_, rep, err[1] = parseReply(b)
+		}
+		return req, rep, err
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var n uint32
+		if len(data) >= 4 {
+			n, data = binary.LittleEndian.Uint32(data), data[4:]
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-
-		decodeRequests(t, bufio.NewReader(bytes.NewReader(data)))
-		br := bufio.NewReader(bytes.NewReader(data))
-		for {
-			if _, _, err := readReply(br); err != nil {
-				break
-			}
-		}
-
+		req, rep, errs := take(t, n, data, 0)
 		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+4*uint64(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+4*uint64(len(data)+4) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data)+4, grew)
+		}
+		req2, rep2, errs2 := take(t, n, data, 0xA5)
+		if fmt.Sprint(errs) != fmt.Sprint(errs2) || rep != rep2 || !reflect.DeepEqual(req, req2) {
+			t.Fatalf("the bytes past the length word changed the outcome: %v / %v", errs, errs2)
 		}
 	})
 }

@@ -27,6 +27,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/barrier"
 	"repro/internal/icv"
@@ -549,11 +550,18 @@ func (p *Pool) ForkFrom(parent *Team, ptid int, spec ForkSpec, micro func(tm *Te
 		p.runTeam(tm, micro)
 		return
 	}
+	// anchor is the one stack slot both home-index hashes read, so claim and
+	// reinstall agree unless the stack itself moved in between.
+	var anchor byte
 	ss := p.shards.Load()
-	hi := ss.homeIndex()
+	hi := ss.homeIndex(unsafe.Pointer(&anchor))
 	tm := p.topTeamFor(ss, hi, n)
-	defer p.topEpilogue(ss, hi, tm, n)
+	defer p.topEpilogue(ss, &hi, tm, n)
 	p.runTeam(tm, micro)
+	// The first regions of a goroutine typically grow (copy) its stack, which
+	// moves its home shard; rehashing after the join caches the team where
+	// this goroutine's next fork will look for it.
+	hi = ss.homeIndex(unsafe.Pointer(&anchor))
 }
 
 // forkEpilogue reinstalls a joined nested/league team into its cache slot
@@ -564,9 +572,9 @@ func (p *Pool) forkEpilogue(slot *atomic.Pointer[Team], tm *Team, granted int) {
 }
 
 // topEpilogue is forkEpilogue for top-level teams, which reinstall through
-// the shard table.
-func (p *Pool) topEpilogue(ss *shardSet, hi uintptr, tm *Team, granted int) {
-	p.reinstallTop(ss, hi, tm)
+// the shard table at the home index as of the join (*hi).
+func (p *Pool) topEpilogue(ss *shardSet, hi *uintptr, tm *Team, granted int) {
+	p.reinstallTop(ss, *hi, tm)
 	p.budget.release(granted)
 }
 

@@ -87,19 +87,17 @@ func newShardSet(n int) *shardSet {
 	return &shardSet{mask: uintptr(size - 1), slots: make([]hotShard, size)}
 }
 
-// homeIndex hashes the calling goroutine to its home shard. Goroutine
-// stacks are distinct, span-allocated and at least 2 KiB apart, so the
-// address of a local dropped past the low (within-stack) bits is a cheap
-// goroutine-affine value; a Fibonacci multiply spreads consecutive stack
-// spans across the table. The value can differ between call frames of one
-// goroutine (frames may straddle the 1 KiB granule), so a fork computes it
-// once and threads the index through claim, steal and reinstall — the steal
-// sweep's "every slot but home" coverage depends on one consistent index.
-// The arithmetic is done in uint64 so the constant is legal on 32-bit
-// targets too.
-func (ss *shardSet) homeIndex() uintptr {
-	var marker byte
-	h := uint64(uintptr(unsafe.Pointer(&marker))>>10) * 0x9E3779B97F4A7C15
+// homeIndex hashes the calling goroutine to its home shard, given the
+// address of a local in the forking frame. Goroutine stacks are distinct,
+// span-allocated and at least 2 KiB apart, so that address dropped past the
+// low (within-stack) bits is a cheap goroutine-affine value; a Fibonacci
+// multiply spreads consecutive stack spans across the table. Different
+// locals of one goroutine may straddle the 1 KiB granule, so a fork hashes
+// one anchor slot only, and threads each index it computes through a whole
+// claim-and-steal sweep or reinstall sweep. The arithmetic is done in uint64
+// so the constant is legal on 32-bit targets too.
+func (ss *shardSet) homeIndex(anchor unsafe.Pointer) uintptr {
+	h := uint64(uintptr(anchor)>>10) * 0x9E3779B97F4A7C15
 	return uintptr(h>>32) & ss.mask
 }
 
