@@ -578,3 +578,35 @@ func transformOnePanicking(t *testing.T) (out []byte, changed bool, diags direct
 		panic("injected transformer bug")
 	})
 }
+
+// TestChangedOnlyWhenLowered: a directive-free file is emitted byte for
+// byte, so its Changed is false even where gofmt would rewrite it; a file
+// with a lowered directive is Changed.
+func TestChangedOnlyWhenLowered(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"clean.go":   "package p\n\nfunc g() int {\n    return 1\n}\n\n",
+		"lowered.go": "package p\n\nfunc f(n int) {\n\t//omp parallel\n\t{\n\t\t_ = n\n\t}\n}\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := Run(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Files) != 2 || res.ErrorCount() != 0 {
+		t.Fatalf("want 2 files and no errors, got %d files: %v", len(res.Files), res.Diags)
+	}
+	for _, f := range res.Files {
+		want := f.Rel == "lowered.go"
+		if f.Changed != want {
+			t.Errorf("%s: Changed = %v, want %v", f.Rel, f.Changed, want)
+		}
+		if !want && string(f.Output) != files[f.Rel] {
+			t.Errorf("%s: output differs from input:\n%q", f.Rel, f.Output)
+		}
+	}
+}

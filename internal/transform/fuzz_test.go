@@ -3,14 +3,17 @@ package transform
 import (
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 
+	"repro/internal/directive"
 	"repro/internal/modpipe/corpusgen"
 	"repro/internal/sema"
 )
 
-// FuzzFile asserts the preprocessor never panics and that whatever it emits
-// is syntactically valid Go.
+// FuzzFile asserts the preprocessor never panics, that whatever it emits
+// is syntactically valid Go, and that an input without a directive comment
+// is emitted byte for byte.
 func FuzzFile(f *testing.F) {
 	seeds := []string{
 		"package p\n\nfunc f(n int) {\n//omp parallel\n{\n_ = n\n}\n}\n",
@@ -37,6 +40,9 @@ func FuzzFile(f *testing.F) {
 	for _, s := range corpusgen.IllTypedSeedFiles() {
 		f.Add(s)
 	}
+	for _, s := range notGofmtClean {
+		f.Add(s)
+	}
 	strict := DefaultOptions()
 	strict.Sema = sema.Strict
 	f.Fuzz(func(t *testing.T, src string) {
@@ -52,6 +58,28 @@ func FuzzFile(f *testing.F) {
 			if _, perr := parser.ParseFile(fset, "out.go", out, 0); perr != nil {
 				t.Fatalf("emitted invalid Go (sema=%v): %v\n--- input ---\n%s\n--- output ---\n%s", opts.Sema, perr, src, out)
 			}
+			if !hasDirectiveComment(src) && string(out) != src {
+				t.Fatalf("directive-free input not emitted verbatim (sema=%v)\n--- input ---\n%q\n--- output ---\n%q", opts.Sema, src, out)
+			}
 		}
 	})
+}
+
+// hasDirectiveComment reports whether src, which parses, carries a line
+// comment that directive.IsDirectiveComment recognises.
+func hasDirectiveComment(src string) bool {
+	file, err := parser.ParseFile(token.NewFileSet(), "in.go", src, parser.ParseComments)
+	if err != nil {
+		return true // no contract for input that does not parse
+	}
+	for _, cg := range file.Comments {
+		for _, c := range cg.List {
+			if text, ok := strings.CutPrefix(c.Text, "//"); ok {
+				if _, ok := directive.IsDirectiveComment(text); ok {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

@@ -22,7 +22,7 @@ func TestExamplesGolden(t *testing.T) {
 			dir := filepath.Join("..", "..", "examples", name)
 			src, err := os.ReadFile(filepath.Join(dir, "source.go.txt"))
 			if err != nil {
-				t.Skipf("example source not present: %v", err)
+				t.Fatalf("example source missing: %v", err)
 			}
 			want, err := os.ReadFile(filepath.Join(dir, "main.go"))
 			if err != nil {
@@ -51,7 +51,7 @@ func TestExamplesGoldenSemaStrict(t *testing.T) {
 			dir := filepath.Join("..", "..", "examples", name)
 			src, err := os.ReadFile(filepath.Join(dir, "source.go.txt"))
 			if err != nil {
-				t.Skipf("example source not present: %v", err)
+				t.Fatalf("example source missing: %v", err)
 			}
 			want, err := os.ReadFile(filepath.Join(dir, "main.go"))
 			if err != nil {
@@ -79,7 +79,7 @@ func TestTransformIsIdempotent(t *testing.T) {
 	for _, name := range goldenExamples {
 		src, err := os.ReadFile(filepath.Join("..", "..", "examples", name, "main.go"))
 		if err != nil {
-			t.Skipf("example output not present: %v", err)
+			t.Fatalf("committed output missing: %v", err)
 		}
 		again, err := File("main.go", src, DefaultOptions())
 		if err != nil {

@@ -92,11 +92,11 @@ func (s *site) diag(kind directive.DiagKind, format string, args ...any) *direct
 	}
 }
 
-// File preprocesses one source file, returning the transformed content. The
-// input is returned unchanged (but formatted) when it contains no
-// directives. When any directive is invalid, the returned error is a
-// directive.DiagnosticList carrying every problem in the file, sorted by
-// source position.
+// File preprocesses one source file, returning the transformed content. A
+// file in which nothing was lowered is returned byte for byte (the input
+// slice itself); a rewritten file is gofmt'd whole. When any directive is
+// invalid, the returned error is a directive.DiagnosticList carrying every
+// problem in the file, sorted by source position.
 func File(filename string, src []byte, opts Options) ([]byte, error) {
 	out, _, _, err := run(filename, src, opts, nil)
 	return out, err
@@ -202,12 +202,14 @@ func run(filename string, src []byte, opts Options, st *Stages) ([]byte, bool, d
 		src = buf
 		changed = true
 	}
-	if changed {
-		var err error
-		src, err = ensureImport(filename, src, opts)
-		if err != nil {
-			return nil, false, warns, err
-		}
+	if !changed {
+		// Nothing was lowered: emit the input byte for byte. scan has
+		// already parsed it, so it is valid Go.
+		return src, false, warns, nil
+	}
+	src, err := ensureImport(filename, src, opts)
+	if err != nil {
+		return nil, false, warns, err
 	}
 	formatted, err := format.Source(src)
 	if err != nil {
@@ -464,7 +466,8 @@ func ensureImport(filename string, src []byte, opts Options) ([]byte, error) {
 		}
 	}
 	// Insert a standalone import declaration right after the package
-	// clause (format.Source merges it into canonical form).
+	// clause. format.Source leaves it a separate declaration: it is not
+	// merged into an existing import block.
 	insertAt := fset.Position(file.Name.End()).Offset
 	decl := fmt.Sprintf("\n\nimport %s %q", opts.Package, opts.ImportPath)
 	var buf []byte

@@ -1,8 +1,12 @@
 package transform
 
 import (
+	"go/format"
 	"strings"
 	"testing"
+
+	"repro/internal/directive"
+	"repro/internal/sema"
 )
 
 // xform transforms a snippet wrapped in a package and function, failing the
@@ -46,17 +50,55 @@ func wantNotContains(t *testing.T, out string, donts ...string) {
 	}
 }
 
+// notGofmtClean are directive-free inputs that go/format would rewrite.
+var notGofmtClean = map[string]string{
+	"trailing blank lines": "package p\n\nfunc f() int { return 1 }\n\n\n",
+	"space indentation":    "package p\n\nfunc f(n int) int {\n    if n > 0 {\n        return n\n    }\n    return 0\n}\n",
+	"unsorted imports":     "package p\n\nimport (\n\t\"strings\"\n\t\"fmt\"\n)\n\nvar _ = fmt.Sprint\nvar _ = strings.Repeat\n",
+	"plain comments only":  "package p\n\n// a comment that is not a directive\nfunc  f() {}\n",
+}
+
+// TestNoDirectivesPassThrough: a file in which nothing is lowered comes
+// back byte for byte, with and without strict sema, even where gofmt would
+// change it.
 func TestNoDirectivesPassThrough(t *testing.T) {
-	src := "package p\n\nfunc f() int { return 1 }\n"
-	out, err := File("t.go", []byte(src), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	strict := DefaultOptions()
+	strict.Sema = sema.Strict
+	cases := map[string]string{"gofmt-clean": "package p\n\nfunc f() int { return 1 }\n"}
+	for name, src := range notGofmtClean {
+		if gofmted, err := format.Source([]byte(src)); err != nil || string(gofmted) == src {
+			t.Fatalf("%s: input must be valid Go that gofmt rewrites (err=%v)", name, err)
+		}
+		cases[name] = src
 	}
-	if !strings.Contains(string(out), "return 1") {
-		t.Error("content lost")
+	for name, src := range cases {
+		for _, opts := range []Options{DefaultOptions(), strict} {
+			out, err := File("t.go", []byte(src), opts)
+			if err != nil {
+				t.Fatalf("%s, sema=%v: %v", name, opts.Sema, err)
+			}
+			if string(out) != src {
+				t.Errorf("%s, sema=%v: output differs from input:\n--- in ---\n%q\n--- out ---\n%q", name, opts.Sema, src, out)
+			}
+		}
 	}
-	if strings.Contains(string(out), "gomp") {
-		t.Error("import added to untouched file")
+}
+
+// TestNoDirectivesSyntaxErrorDiagnosed: without a directive to lower, a
+// file that does not parse still gets a positioned syntax diagnostic and
+// no output.
+func TestNoDirectivesSyntaxErrorDiagnosed(t *testing.T) {
+	src := "package p\n\nfunc f() {\n    x := \n}\n"
+	out, err := File("bad.go", []byte(src), DefaultOptions())
+	if out != nil {
+		t.Errorf("output emitted for a file that does not parse:\n%s", out)
+	}
+	list, ok := err.(directive.DiagnosticList)
+	if !ok || len(list) == 0 {
+		t.Fatalf("want a DiagnosticList, got %T: %v", err, err)
+	}
+	if d := list[0]; d.Kind != directive.DiagSyntax || d.File != "bad.go" || d.Line != 5 {
+		t.Errorf("want a syntax diagnostic at bad.go:5, got %+v", d)
 	}
 }
 
@@ -450,6 +492,18 @@ func TestFlushErased(t *testing.T) {
 	}
 	_ = x`)
 	wantNotContains(t, out, "flush", "Flush")
+
+	// A file whose only directive is a flush was still lowered, so it is
+	// rewritten and gofmt'd whole like any other.
+	src := "package p\n\nfunc f() {\n    x := 0\n    //omp flush\n    _ = x\n}\n\n"
+	only, err := File("t.go", []byte(src), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNotContains(t, string(only), "flush")
+	if gofmted, err := format.Source(only); err != nil || string(gofmted) != string(only) {
+		t.Errorf("flush-only file is not gofmt'd (err=%v):\n%s", err, only)
+	}
 }
 
 func TestBadDirectiveReportsPosition(t *testing.T) {
