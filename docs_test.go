@@ -8,6 +8,7 @@ package gomp_test
 import (
 	"fmt"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -109,11 +110,27 @@ func TestREADMEListsEveryScheduleSpelling(t *testing.T) {
 func TestREADMELinksTheArtifacts(t *testing.T) {
 	md := readme(t)
 	for _, want := range []string{
-		"DESIGN.md", "BENCH_overheads.json", "examples/quickstart", "cmd/gompcc",
+		"DESIGN.md", "BENCHMARK.json", "bench/", "examples/quickstart", "cmd/gompcc",
 		"gompcc", "OMP_SCHEDULE",
 	} {
 		if !strings.Contains(md, want) {
 			t.Errorf("README.md does not reference %s", want)
+		}
+	}
+}
+
+// docPath matches a cmd/… or internal/… path, or a root *.json file, that
+// does not continue a longer path or import path.
+var docPath = regexp.MustCompile(`(?:^|[^\w/.-])((?:cmd|internal)/[\w./-]*[\w/]|[\w-]+\.json)\b`)
+
+// TestREADMEAndDESIGNNameOnlyPathsThatExist fails on a stale path: every
+// cmd/…, internal/… and root *.json path the two documents name must exist.
+func TestREADMEAndDESIGNNameOnlyPathsThatExist(t *testing.T) {
+	for name, md := range map[string]string{"README.md": readme(t), "DESIGN.md": design(t)} {
+		for _, m := range docPath.FindAllStringSubmatch(md, -1) {
+			if _, err := os.Stat(m[1]); err != nil {
+				t.Errorf("%s names %s, which does not exist", name, m[1])
+			}
 		}
 	}
 }
@@ -147,7 +164,7 @@ func TestREADMEModuleMode(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"BENCH_gompcc.json", "cmd/gompccbench", "internal/modpipe/corpusgen",
+		"bench/", "gompcc-module", "internal/modpipe/corpusgen",
 		"recover()", "cache hits",
 	} {
 		if !strings.Contains(md, want) {

@@ -52,7 +52,8 @@ type Barrier interface {
 	N() int
 }
 
-// Kind names a barrier algorithm, for ablation harnesses and flags.
+// Kind names a barrier algorithm; a pool builds its teams' barriers of the
+// kind set with kmp's Pool.SetBarrierKind.
 type Kind int
 
 const (

@@ -1,10 +1,11 @@
-// Package taskbench holds the task-parallel microbenchmark kernels behind
-// cmd/taskbench, in the shape of the EPCC taskbench / BOTS suites: recursive
+// Package taskbench holds the task-parallel microbenchmark kernels, in the
+// shape of the EPCC taskbench / BOTS suites, that the benchmark's task-dag
+// workload (fib, n-queens) and the root BenchmarkTasks_Tree run: recursive
 // fibonacci (a binary spawn tree, the classic task-overhead stress),
 // n-queens (an irregular search tree with per-task board copies), and a
 // synthetic unbalanced depth-first tree walk (UTS-style, deterministic via a
-// splitmix64 node hash). Each kernel has a serial twin used both as the
-// correctness oracle and as the single-thread baseline for speedup curves.
+// splitmix64 node hash). Each kernel has a serial twin used as its
+// correctness oracle.
 //
 // All three follow the BOTS cutoff idiom: spawn tasks near the root where
 // parallelism pays, switch to plain recursion below the cutoff where a task

@@ -159,7 +159,7 @@ func run(filename string, src []byte, opts Options, st *Stages) ([]byte, bool, d
 		return nil, false, warns, diags
 	}
 
-	changed := false
+	changed, facade, facadeRef := false, false, opts.Package+"."
 	for pass := 0; ; pass++ {
 		if pass > 10000 {
 			return nil, false, warns, fmt.Errorf("transform: fixpoint did not terminate (internal error)")
@@ -201,15 +201,20 @@ func run(filename string, src []byte, opts Options, st *Stages) ([]byte, bool, d
 		buf = append(buf, src[end:]...)
 		src = buf
 		changed = true
+		facade = facade || strings.Contains(repl, facadeRef)
 	}
 	if !changed {
 		// Nothing was lowered: emit the input byte for byte. scan has
 		// already parsed it, so it is valid Go.
 		return src, false, warns, nil
 	}
-	src, err := ensureImport(filename, src, opts)
-	if err != nil {
-		return nil, false, warns, err
+	if facade {
+		// A lowering that emits no facade call (flush lowers to nothing)
+		// must not leave an unused import behind.
+		var err error
+		if src, err = ensureImport(filename, src, opts); err != nil {
+			return nil, false, warns, err
+		}
 	}
 	formatted, err := format.Source(src)
 	if err != nil {

@@ -1,7 +1,11 @@
 package transform
 
 import (
+	"go/ast"
 	"go/format"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 
@@ -503,6 +507,16 @@ func TestFlushErased(t *testing.T) {
 	wantNotContains(t, string(only), "flush")
 	if gofmted, err := format.Source(only); err != nil || string(gofmted) != string(only) {
 		t.Errorf("flush-only file is not gofmt'd (err=%v):\n%s", err, only)
+	}
+	// Nothing in it calls the facade, so it must not import it: an unused
+	// import does not build.
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "t.go", only, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{file}, nil); err != nil {
+		t.Errorf("flush-only file does not type-check: %v\n%s", err, only)
 	}
 }
 

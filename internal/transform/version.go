@@ -10,4 +10,4 @@ package transform
 // helper spellings, formatting of the generated calls. Pure diagnostic
 // wording changes should bump it too — cached DiagnosticLists replay
 // verbatim on warm runs.
-const Version = "10.0"
+const Version = "11.0"

@@ -1,5 +1,4 @@
-// Package wavefront is the dependency-structured workload of the harness: a
-// blocked 2D Gauss–Seidel sweep, the canonical depend-clause pattern. Cell
+// Package wavefront is the dependency-structured kernel: a blocked 2D Gauss–Seidel sweep, the canonical depend-clause pattern. Cell
 // (i,j) is updated from its already-updated north and west neighbours, so a
 // tile can run only after the tile above it and the tile to its left — a
 // wavefront of ready tiles advances across the grid diagonal by diagonal.
@@ -8,7 +7,7 @@
 // per anti-diagonal, serialising the ragged start and end of each front);
 // task dependencies — or doacross cross-iteration dependences — let every
 // tile start the moment its two predecessors finish. The variants follow
-// the harness convention: Serial is the baseline, Ref is the hand-built
+// the NPB kernels' convention: Serial is the baseline, Ref is the hand-built
 // goroutine pipeline (barrier per anti-diagonal, the best structure
 // available without dependencies), OMP runs one task per tile per sweep
 // with depend(in) on the north/west tiles' tokens and depend(inout) on the
@@ -34,7 +33,8 @@ type Spec struct {
 	Sweeps int
 }
 
-// DefaultSpec returns the harness configuration for an n×n grid.
+// DefaultSpec returns the configuration for an n×n grid: 64×64 tiles (one
+// tile when n is smaller) and four sweeps.
 func DefaultSpec(n int) Spec {
 	b := 64
 	if b > n {
