@@ -498,25 +498,30 @@ func TestFlushErased(t *testing.T) {
 	wantNotContains(t, out, "flush", "Flush")
 
 	// A file whose only directive is a flush was still lowered, so it is
-	// rewritten and gofmt'd whole like any other.
-	src := "package p\n\nfunc f() {\n    x := 0\n    //omp flush\n    _ = x\n}\n\n"
-	only, err := File("t.go", []byte(src), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantNotContains(t, string(only), "flush")
-	if gofmted, err := format.Source(only); err != nil || string(gofmted) != string(only) {
-		t.Errorf("flush-only file is not gofmt'd (err=%v):\n%s", err, only)
-	}
-	// Nothing in it calls the facade, so it must not import it: an unused
-	// import does not build.
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "t.go", only, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{file}, nil); err != nil {
-		t.Errorf("flush-only file does not type-check: %v\n%s", err, only)
+	// rewritten and gofmt'd whole like any other. Nothing in it calls the
+	// facade, so it must not import it: an unused import does not build.
+	// The second input names the facade in a comment, which must not count
+	// as a call.
+	for _, src := range []string{
+		"package p\n\nfunc f() {\n    x := 0\n    //omp flush\n    _ = x\n}\n\n",
+		"package p\n\n// f publishes x, as gomp.Flush would.\nfunc f() {\n    x := 0\n    //omp flush\n    _ = x\n}\n",
+	} {
+		only, err := File("t.go", []byte(src), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantNotContains(t, string(only), "flush")
+		if gofmted, err := format.Source(only); err != nil || string(gofmted) != string(only) {
+			t.Errorf("flush-only file is not gofmt'd (err=%v):\n%s", err, only)
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, "t.go", only, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (&types.Config{}).Check("p", fset, []*ast.File{file}, nil); err != nil {
+			t.Errorf("flush-only file does not type-check: %v\n%s", err, only)
+		}
 	}
 }
 

@@ -1,4 +1,5 @@
-// Package wavefront is the dependency-structured kernel: a blocked 2D Gauss–Seidel sweep, the canonical depend-clause pattern. Cell
+// Package wavefront is the dependency-structured kernel: a blocked 2D
+// Gauss–Seidel sweep, the canonical depend-clause pattern. Cell
 // (i,j) is updated from its already-updated north and west neighbours, so a
 // tile can run only after the tile above it and the tile to its left — a
 // wavefront of ready tiles advances across the grid diagonal by diagonal.
