@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sema"
@@ -88,5 +89,41 @@ func TestTransformIsIdempotent(t *testing.T) {
 		if !bytes.Equal(again, src) {
 			t.Errorf("%s: transform of generated output is not a fixpoint", name)
 		}
+	}
+}
+
+// TestNestedGolden pins the lowering of nested constructs: each
+// testdata/nested/<name>.go.txt must transform, with sema off and strict,
+// to exactly <name>.golden. The shapes are the ones where an outer
+// construct reads code its inner constructs have already lowered.
+func TestNestedGolden(t *testing.T) {
+	srcs, err := filepath.Glob(filepath.Join("testdata", "nested", "*.go.txt"))
+	if err != nil || len(srcs) == 0 {
+		t.Fatalf("no nested goldens found (%v)", err)
+	}
+	strict := DefaultOptions()
+	strict.Sema = sema.Strict
+	for _, path := range srcs {
+		name := strings.TrimSuffix(filepath.Base(path), ".go.txt")
+		t.Run(name, func(t *testing.T) {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(strings.TrimSuffix(path, ".go.txt") + ".golden")
+			if err != nil {
+				t.Fatalf("golden missing: %v", err)
+			}
+			for _, opts := range []Options{DefaultOptions(), strict} {
+				got, err := File(path, src, opts)
+				if err != nil {
+					t.Fatalf("sema %v: transform failed: %v", opts.Sema, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("sema %v: output drifted from %s.golden;\nregenerate with: go run ./cmd/gompcc -o internal/transform/testdata/nested/%s.golden internal/transform/testdata/nested/%s.go.txt\n--- got ---\n%s",
+						opts.Sema, name, name, name, got)
+				}
+			}
+		})
 	}
 }
