@@ -9,6 +9,8 @@
 //     ordered(2) + depend(sink)/depend(source) (Thread.ForDoacross) — a
 //     cross-iteration dependence no plain worksharing loop can express.
 //
+// Run it with:
+//
 //	go run ./examples/stencil [-n 512] [-iters 500] [-gs 4]
 package main
 

@@ -566,10 +566,10 @@ func TestDoacrossValidation(t *testing.T) {
 		"ordered depend(in: x)",                    // task dependence type on ordered
 		"task depend(sink: i-1)",                   // doacross type on task
 		"task depend(source)",
-		"for ordered(2) collapse(3)",                               // mismatched nest depths
-		"for ordered(2) schedule(nonmonotonic:dynamic)",            // doacross x nonmonotonic
-		"for ordered(1) nowait",                                    // doacross x nowait
-		"ordered depend(sink: )",                                   // empty vector component
+		"for ordered(2) collapse(3)",                    // mismatched nest depths
+		"for ordered(2) schedule(nonmonotonic:dynamic)", // doacross x nonmonotonic
+		"for ordered(1) nowait",                         // doacross x nowait
+		"ordered depend(sink: )",                        // empty vector component
 	}
 	for _, body := range bad {
 		if _, err := Parse(body); err == nil {

@@ -18,16 +18,15 @@ import (
 // pool-wide budget of thread-limit-var - 1 and resolves each fork through a
 // degradation ladder:
 //
-//  1. full grant   — budget available: the region gets its requested size.
-//  2. shrink       — dyn-var (OMP_DYNAMIC) set: the region immediately gets
-//                    1 + whatever budget remains, the spec's "dynamic
-//                    adjustment of the number of threads".
-//  3. bounded wait — dyn-var clear: the forker spins, yields, then sleeps
-//                    (~½ ms total) for the full request, since a
-//                    non-dynamic program was promised its team size if at
-//                    all possible.
-//  4. degrade      — the wait expires: take what is available anyway,
-//                    down to a serialised team of one.
+//  1. Full grant. Budget is available: the region gets its requested size.
+//  2. Shrink. dyn-var (OMP_DYNAMIC) is set: the region immediately gets
+//     1 + whatever budget remains, the spec's "dynamic adjustment of the
+//     number of threads".
+//  3. Bounded wait. dyn-var is clear: the forker spins, yields, then
+//     sleeps (~½ ms total) for the full request, since a non-dynamic
+//     program was promised its team size if at all possible.
+//  4. Degrade. The wait expires: take what is available anyway, down to a
+//     serialised team of one.
 //
 // The ladder never blocks indefinitely, so nested forks that wait while
 // their ancestors hold budget cannot deadlock: rung 4 always grants at

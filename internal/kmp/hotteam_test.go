@@ -90,7 +90,7 @@ func TestHotTeamNestedReuse(t *testing.T) {
 	var inner atomic.Int64
 	run := func() {
 		p.Fork(nil, ForkSpec{}, func(outer *Team, otid int) {
-			p.Fork(outer, ForkSpec{NumThreads: 2}, func(in *Team, itid int) {
+			p.ForkFrom(outer, otid, ForkSpec{NumThreads: 2}, func(in *Team, itid int) {
 				inner.Add(1)
 				if in.Level() != 2 || in.Parent() != outer {
 					t.Error("nested team misparented after reuse")

@@ -518,14 +518,20 @@ func (p *Pool) TeamSize(parent *Team, spec ForkSpec) int {
 // In the steady state — a fork whose resolved size matches the cached hot
 // team — Fork allocates nothing and takes no locks: one atomic Swap claims
 // the team, per-worker epoch bumps dispatch it, and one CAS reinstalls it.
+//
+// Fork forks top-level teams only: parent must be nil. A nested region
+// needs the forking member's tid, so it goes through ForkFrom.
 func (p *Pool) Fork(parent *Team, spec ForkSpec, micro func(tm *Team, tid int)) {
-	p.ForkFrom(parent, 0, spec, micro)
+	if parent != nil {
+		panic("kmp: Fork with a parent team; nest through ForkFrom(parent, tid, ...)")
+	}
+	p.ForkFrom(nil, 0, spec, micro)
 }
 
-// ForkFrom is Fork with the forking member's tid in the parent team made
-// explicit, which keys the nested hot-team cache: sibling members forking
-// nested regions concurrently each reuse their own cached team instead of
-// contending for one slot. Fork(parent, ...) is ForkFrom(parent, 0, ...).
+// ForkFrom is Fork from member ptid of parent (nil for a top-level team).
+// The tid keys the nested hot-team cache: sibling members forking nested
+// regions concurrently each reuse their own cached team instead of
+// contending for one slot.
 func (p *Pool) ForkFrom(parent *Team, ptid int, spec ForkSpec, micro func(tm *Team, tid int)) {
 	n := p.admitTeam(p.TeamSize(parent, spec))
 	if trace.Enabled() {

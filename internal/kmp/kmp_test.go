@@ -1,6 +1,8 @@
 package kmp
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -86,7 +88,7 @@ func TestNestedFork(t *testing.T) {
 	p := NewPool(icvs)
 	var innerCount atomic.Int64
 	p.Fork(nil, ForkSpec{}, func(outer *Team, otid int) {
-		p.Fork(outer, ForkSpec{NumThreads: 3}, func(inner *Team, itid int) {
+		p.ForkFrom(outer, otid, ForkSpec{NumThreads: 3}, func(inner *Team, itid int) {
 			innerCount.Add(1)
 			if inner.Level() != 2 {
 				t.Errorf("inner level = %d", inner.Level())
@@ -332,4 +334,21 @@ func TestWSEntryReusesStealScheduler(t *testing.T) {
 	if total != 50 {
 		t.Errorf("recycled steal scheduler covered %d iterations, want 50", total)
 	}
+}
+
+// TestForkRejectsParent: Fork forks top-level teams only; a nested fork
+// must name the forking member through ForkFrom.
+func TestForkRejectsParent(t *testing.T) {
+	p := NewPool(fixedICVs(2))
+	p.Fork(nil, ForkSpec{}, func(outer *Team, otid int) {
+		if otid != 0 {
+			return
+		}
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "ForkFrom") {
+				t.Errorf("Fork(parent, ...) recovered %v, want a panic naming ForkFrom", r)
+			}
+		}()
+		p.Fork(outer, ForkSpec{NumThreads: 1}, func(*Team, int) {})
+	})
 }

@@ -165,3 +165,39 @@ func TestFileAggregatesTaskClauseDiagnostics(t *testing.T) {
 		}
 	}
 }
+
+// TestInnerDirectiveOutsideOuterBodyDiagnosed: a directive in the header of
+// a loop that an enclosing directive lowers is not part of the code the
+// outer lowering outlines. It is reported at its own position, not lost.
+func TestInnerDirectiveOutsideOuterBodyDiagnosed(t *testing.T) {
+	for _, src := range []string{
+		"package p\n\nfunc f(n int) {\n\t//omp parallel for\n\tfor i := 0; i < n; //omp critical\n\ti++ {\n\t\t_ = i\n\t}\n}\n",
+		"package p\n\nfunc f(n int) {\n\t//omp parallel\n\t{\n\t\t//omp for\n\t\tfor i := 0; //omp barrier\n\t\ti < n; i++ {\n\t\t\t_ = i\n\t\t}\n\t}\n}\n",
+	} {
+		_, err := File("hdr.go", []byte(src), DefaultOptions())
+		diags, ok := err.(directive.DiagnosticList)
+		if !ok || len(diags) != 1 {
+			t.Fatalf("want one diagnostic, got %v for:\n%s", err, src)
+		}
+		if d := diags[0]; d.Kind != directive.DiagBadNesting || !strings.Contains(d.Msg, "is lost when the enclosing") {
+			t.Errorf("got %v, want the inner directive reported as lost", d)
+		}
+	}
+}
+
+// TestCollapseNestBrokenByInnerDirective: a directive on the inner loop of
+// a collapse(2) nest, or a standalone one before it, leaves the outer body
+// reading as something other than one for statement once it is lowered,
+// so the nest is not perfect.
+func TestCollapseNestBrokenByInnerDirective(t *testing.T) {
+	for _, inner := range []string{"//omp critical", "//omp barrier\n"} {
+		src := "package p\n\nfunc f(n int) {\n//omp parallel\n{\n//omp for collapse(2)\nfor i := 0; i < n; i++ {\n" +
+			inner + "\nfor j := 0; j < n; j++ {\n_ = i + j\n}\n}\n}\n}\n"
+		_, err := File("nest.go", []byte(src), DefaultOptions())
+		diags, ok := err.(directive.DiagnosticList)
+		if !ok || len(diags) != 1 || diags[0].Kind != directive.DiagBadLoop ||
+			!strings.Contains(diags[0].Msg, "requires a perfectly nested for loop at depth 2") {
+			t.Errorf("got %v, want one imperfect-nest diagnostic for:\n%s", err, src)
+		}
+	}
+}

@@ -19,9 +19,8 @@ type gen struct {
 	// sem is the unit's sema result when the sema stage ran (nil
 	// otherwise). Lowerings consult it to replace string heuristics with
 	// object identity — collapse bound-independence in particular. It was
-	// computed on the original source, which stays position-valid here
-	// because the fixpoint lowers the lexically last site first: all bytes
-	// before the current site retain their original offsets.
+	// computed on the original source, and so was the AST every lowering
+	// reads, so its offsets always line up.
 	sem *sema.Result
 	// threadOK is true when the generated code may reference the thread
 	// variable introduced by an enclosing lowered construct.
@@ -30,6 +29,32 @@ type gen struct {
 	// kernel, whose __omp_rt parameter is the device runtime that parallel
 	// constructs must fork on.
 	rtOK bool
+	// edits are the sites inside this one that are already lowered, in
+	// source order; span reads each as its replacement.
+	edits []*edit
+	// copied records the source ranges the lowering read into its output
+	// (see settle).
+	copied [][2]int
+}
+
+// edit is one lowered site: the original bytes [start, end) read as repl.
+type edit struct {
+	site       *site
+	start, end int
+	repl       string
+}
+
+// stmts lists the top-level statements repl reads as: a flush lowers to
+// none, a doacross ordered to one per depend clause (one a line), every
+// other lowering to one.
+func (e *edit) stmts() []string {
+	switch {
+	case e.repl == "":
+		return nil
+	case e.site.dir.Construct == directive.ConstructOrdered && e.site.stmt == nil:
+		return strings.Split(e.repl, "\n")
+	}
+	return []string{e.repl}
 }
 
 // threadVar is the identifier lowered code uses for the Thread context. The
@@ -40,11 +65,112 @@ func (g *gen) pkg() string { return g.opts.Package }
 
 // text returns the source text of a node.
 func (g *gen) text(n ast.Node) string {
-	return string(g.src[g.fset.Position(n.Pos()).Offset:g.fset.Position(n.End()).Offset])
+	return g.span(g.fset.Position(n.Pos()).Offset, g.fset.Position(n.End()).Offset)
 }
 
-// span returns raw source between byte offsets.
-func (g *gen) span(start, end int) string { return string(g.src[start:end]) }
+// span returns the source between byte offsets as the rewritten file reads
+// it: each lowered site inside the range reads as its replacement.
+func (g *gen) span(start, end int) string {
+	g.copied = append(g.copied, [2]int{start, end})
+	if len(g.edits) == 0 {
+		return string(g.src[start:end])
+	}
+	var b strings.Builder
+	at := start
+	for _, e := range g.edits {
+		if start <= e.start && e.end <= end {
+			b.Write(g.src[at:e.start])
+			b.WriteString(e.repl)
+			at = e.end
+		}
+	}
+	b.Write(g.src[at:end])
+	return b.String()
+}
+
+// carried reports whether the lowering read [start, end) whole.
+func (g *gen) carried(start, end int) bool {
+	for _, r := range g.copied {
+		if r[0] <= start && end <= r[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// settle checks, after s is lowered, that every inner lowering made it into
+// the output whole: one the outer lowering read only in part or not at all
+// (a directive in a loop header, or one whose statement runs past the end
+// of s's statement) would otherwise be lost. It then drops the section
+// markers inside s that its lowering did not carry.
+func (g *gen) settle(s *site) error {
+	for _, e := range g.edits {
+		if e.repl != "" && !g.carried(e.start, e.end) {
+			return e.site.diag(directive.DiagBadNesting,
+				"%q at this position is lost when the enclosing %q is lowered: move it into that construct's body",
+				e.site.dir.Construct, s.dir.Construct)
+		}
+	}
+	for _, m := range g.sites {
+		if m.dir.Construct == directive.ConstructSection && !m.dropped &&
+			s.commentStart < m.commentStart && m.commentStart < s.end() {
+			m.dropped = !g.carried(m.commentStart, m.commentEnd)
+		}
+	}
+	return nil
+}
+
+// blockStmt is one top-level statement of a block as the rewritten source
+// reads it: an original statement, or one an inner lowering emitted.
+type blockStmt struct {
+	start int
+	node  ast.Stmt // nil for a lowering's statement
+	text  string   // the lowering's statement (node == nil)
+}
+
+// stmts lists a block's top-level statements as a parse of the rewritten
+// source would: a statement under a lowered directive reads as what the
+// directive lowered to, and so does a lowered standalone directive. A
+// listed lowering counts as read (see settle); soleStmt's caller fails on
+// any block that lists one with statements.
+func (g *gen) stmts(block *ast.BlockStmt) []blockStmt {
+	lbrace := g.fset.Position(block.Lbrace).Offset
+	rbrace := g.fset.Position(block.Rbrace).Offset
+	var es []*edit
+	for _, e := range g.edits {
+		if lbrace < e.start && e.end <= rbrace {
+			es = append(es, e)
+		}
+	}
+	var out []blockStmt
+	lowered := func(e *edit) {
+		g.copied = append(g.copied, [2]int{e.start, e.end})
+		for _, t := range e.stmts() {
+			out = append(out, blockStmt{start: e.start, text: t})
+		}
+	}
+	for _, st := range block.List {
+		start := g.fset.Position(st.Pos()).Offset
+		end := g.fset.Position(st.End()).Offset
+		for len(es) > 0 && es[0].end <= start {
+			lowered(es[0]) // a standalone directive before st
+			es = es[1:]
+		}
+		if len(es) > 0 && es[0].start < start {
+			lowered(es[0]) // st's own directive
+			es = es[1:]
+			continue
+		}
+		for len(es) > 0 && es[0].end <= end {
+			es = es[1:] // inside st: text(st) applies it
+		}
+		out = append(out, blockStmt{start: start, node: st})
+	}
+	for _, e := range es {
+		lowered(e)
+	}
+	return out
+}
 
 // lower produces the replacement text for the site and the byte span it
 // replaces.
@@ -451,7 +577,7 @@ func (g *gen) collectNest(s *site, outer *ast.ForStmt, n int) ([]loopInfo, *ast.
 		if level == n {
 			return infos, cur, nil
 		}
-		inner, ok := soleStmt(cur.Body).(*ast.ForStmt)
+		inner, ok := g.soleStmt(cur.Body).(*ast.ForStmt)
 		if !ok {
 			return nil, nil, s.diag(directive.DiagBadLoop,
 				"collapse(%d) requires a perfectly nested for loop at depth %d", n, level+1)
@@ -596,27 +722,33 @@ func (g *gen) sectionGroups(block *ast.BlockStmt) []string {
 	lbrace := g.fset.Position(block.Lbrace).Offset
 	rbrace := g.fset.Position(block.Rbrace).Offset
 	for _, site := range g.sites {
-		if !site.invalid && site.dir.Construct == directive.ConstructSection &&
+		if !site.invalid && !site.dropped && site.dir.Construct == directive.ConstructSection &&
 			site.commentStart >= lbrace && site.commentEnd <= rbrace {
 			markers = append(markers, site.commentStart)
 		}
 	}
 	sortInts(markers)
 
+	stmts := g.stmts(block)
+	text := func(st blockStmt) string {
+		if st.node == nil {
+			return st.text
+		}
+		return g.text(st.node)
+	}
 	if len(markers) == 0 {
 		var out []string
-		for _, stmt := range block.List {
-			out = append(out, g.text(stmt))
+		for _, st := range stmts {
+			out = append(out, text(st))
 		}
 		return out
 	}
 	var groups []string
 	var cur []string
 	mi := 0
-	for _, stmt := range block.List {
-		start := g.fset.Position(stmt.Pos()).Offset
+	for _, st := range stmts {
 		boundary := false
-		for mi < len(markers) && markers[mi] < start {
+		for mi < len(markers) && markers[mi] < st.start {
 			boundary = true
 			mi++
 		}
@@ -624,7 +756,7 @@ func (g *gen) sectionGroups(block *ast.BlockStmt) []string {
 			groups = append(groups, strings.Join(cur, "\n"))
 			cur = nil
 		}
-		cur = append(cur, g.text(stmt))
+		cur = append(cur, text(st))
 	}
 	if len(cur) > 0 {
 		groups = append(groups, strings.Join(cur, "\n"))
@@ -868,13 +1000,14 @@ func (g *gen) lowerTaskloop(s *site) (string, error) {
 	return b.String(), nil
 }
 
-// soleStmt returns the only statement of a block, skipping nothing; nil if
-// the block does not contain exactly one statement.
-func soleStmt(b *ast.BlockStmt) ast.Stmt {
-	if len(b.List) != 1 {
+// soleStmt returns the only statement of a block; nil if the block does not
+// read as exactly one statement, or if its statement is an inner lowering's.
+func (g *gen) soleStmt(b *ast.BlockStmt) ast.Stmt {
+	list := g.stmts(b)
+	if len(list) != 1 {
 		return nil
 	}
-	return b.List[0]
+	return list[0].node
 }
 
 // exprMentions reports whether the loop header of fs references the outer

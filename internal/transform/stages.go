@@ -62,13 +62,13 @@ func FileStages(filename string, src []byte, opts Options) (*Stages, error) {
 	// dry-run lowering) and aggregates every problem; this scan only
 	// records the stage-1/2 artifacts of the directives that parsed
 	// cleanly.
-	sites, _, _, _ := scan(filename, src)
+	sites, _, _ := scan(filename, src)
 	for _, s := range sites {
 		if !s.invalid {
 			st.Scanned = append(st.Scanned, ScannedDirective{Pos: s.pos, Text: s.dir.Text, Parsed: s.dir})
 		}
 	}
-	out, _, _, err := run(filename, src, opts, st)
+	out, _, err := run(filename, src, opts, st)
 	if err != nil {
 		return nil, err
 	}

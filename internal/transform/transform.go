@@ -39,6 +39,7 @@ import (
 	"go/parser"
 	"go/scanner"
 	"go/token"
+	"slices"
 	"strings"
 
 	"repro/internal/directive"
@@ -80,6 +81,10 @@ type site struct {
 	// still see them and do not emit false cascade errors for correctly
 	// nested inner directives.
 	invalid bool
+	// dropped marks a section marker that a lowering did not carry into
+	// its output: it is gone from the rewritten source, so an enclosing
+	// sections construct must not split on it.
+	dropped bool
 }
 
 // diag builds an error-severity diagnostic covering the site's directive
@@ -98,7 +103,7 @@ func (s *site) diag(kind directive.DiagKind, format string, args ...any) *direct
 // invalid, the returned error is a directive.DiagnosticList carrying every
 // problem in the file, sorted by source position.
 func File(filename string, src []byte, opts Options) ([]byte, error) {
-	out, _, _, err := run(filename, src, opts, nil)
+	out, _, err := run(filename, src, opts, nil)
 	return out, err
 }
 
@@ -107,16 +112,18 @@ func File(filename string, src []byte, opts Options) ([]byte, error) {
 // transformed source (in strict mode they are part of the error; with sema
 // off the list is always empty).
 func FileChecked(filename string, src []byte, opts Options) ([]byte, directive.DiagnosticList, error) {
-	out, _, warns, err := run(filename, src, opts, nil)
+	out, warns, err := run(filename, src, opts, nil)
 	return out, warns, err
 }
 
 // run is the driver: collect diagnostics for every directive site (scan →
-// parse → sema → dry-run lowering), then (only if the file is clean)
-// repeatedly lower the lexically last remaining directive and re-parse, so
-// inner directives are lowered before the outer constructs that enclose
-// them. st, when non-nil, records the pipeline artifacts for -dump-stages.
-func run(filename string, src []byte, opts Options, st *Stages) ([]byte, bool, directive.DiagnosticList, error) {
+// parse → sema → dry-run lowering), then (only if the file is clean) lower
+// every site in one pass against the same parse, last comment first. An
+// inner site is thus lowered before the outer constructs that enclose it,
+// and the outer lowering reads the inner one's replacement through the edit
+// list (see gen.span). st, when non-nil, records the pipeline artifacts for
+// -dump-stages.
+func run(filename string, src []byte, opts Options, st *Stages) ([]byte, directive.DiagnosticList, error) {
 	if opts.Package == "" {
 		def := DefaultOptions()
 		opts.Package, opts.ImportPath = def.Package, def.ImportPath
@@ -125,7 +132,7 @@ func run(filename string, src []byte, opts Options, st *Stages) ([]byte, bool, d
 	// Pre-flight: parse/validate every directive and attempt every
 	// lowering against the original source, so one bad site does not hide
 	// the others and every error carries its own position.
-	sites, fset, _, diags := scan(filename, src)
+	sites, fset, diags := scan(filename, src)
 
 	// Sema stage: type-check the unit and validate clauses against the
 	// types. The result also feeds the lowering itself (collapse
@@ -156,24 +163,22 @@ func run(filename string, src []byte, opts Options, st *Stages) ([]byte, bool, d
 	diags = append(diags, dryRun(opts, src, fset, sites, sem)...)
 	if len(diags) > 0 {
 		diags.Sort()
-		return nil, false, warns, diags
+		return nil, warns, diags
 	}
 
-	changed, facade, facadeRef := false, false, opts.Package+"."
-	for pass := 0; ; pass++ {
-		if pass > 10000 {
-			return nil, false, warns, fmt.Errorf("transform: fixpoint did not terminate (internal error)")
+	// live holds the outermost lowerings so far, in source order. Sites
+	// come in source order, so the one lowered next starts before all of
+	// them, and the ones inside it are a prefix of live.
+	var live []*edit
+	facade, facadeRef := false, opts.Package+"."
+	for i := len(sites) - 1; i >= 0; i-- {
+		s := sites[i]
+		if s.dir.Construct == directive.ConstructSection {
+			continue // consumed by the enclosing sections construct
 		}
-		if pass > 0 {
-			// Re-scan only after a rewrite; pass 0 reuses the pre-flight.
-			sites, fset, _, diags = scan(filename, src)
-			if err := diags.Err(); err != nil {
-				return nil, false, warns, err
-			}
-		}
-		target := pickTarget(sites)
-		if target == nil {
-			break
+		n := 0
+		for n < len(live) && live[n].start < s.end() {
+			n++
 		}
 		g := &gen{
 			opts:     opts,
@@ -181,53 +186,54 @@ func run(filename string, src []byte, opts Options, st *Stages) ([]byte, bool, d
 			fset:     fset,
 			sites:    sites,
 			sem:      sem,
-			threadOK: threadVarInScope(target, sites),
-			rtOK:     rtVarInScope(target, sites),
+			threadOK: threadVarInScope(s, sites),
+			rtOK:     rtVarInScope(s, sites),
+			edits:    live[:n],
 		}
-		repl, start, end, err := g.lower(target)
+		repl, start, end, err := g.lower(s)
+		if err == nil {
+			err = g.settle(s)
+		}
 		if err != nil {
-			return nil, false, warns, asDiagnostics(err)
+			return nil, warns, asDiagnostics(err)
 		}
 		if st != nil {
 			st.Lowered = append(st.Lowered, Step{
-				Directive: target.dir,
-				Pos:       target.pos,
+				Directive: s.dir,
+				Pos:       s.pos,
 				Outlined:  strings.Count(repl, "func("),
 			})
 		}
-		var buf []byte
-		buf = append(buf, src[:start]...)
-		buf = append(buf, repl...)
-		buf = append(buf, src[end:]...)
-		src = buf
-		changed = true
+		live = slices.Insert(live[n:], 0, &edit{site: s, start: start, end: end, repl: repl})
 		facade = facade || strings.Contains(repl, facadeRef)
 	}
-	if !changed {
+	if len(live) == 0 {
 		// Nothing was lowered: emit the input byte for byte. scan has
 		// already parsed it, so it is valid Go.
-		return src, false, warns, nil
+		return src, warns, nil
 	}
+	src = []byte((&gen{src: src, edits: live}).span(0, len(src)))
 	if facade {
 		// A lowering that emits no facade call (flush lowers to nothing)
 		// must not leave an unused import behind.
 		var err error
 		if src, err = ensureImport(filename, src, opts); err != nil {
-			return nil, false, warns, err
+			return nil, warns, err
 		}
 	}
 	formatted, err := format.Source(src)
 	if err != nil {
 		// Surface the generated source to make codegen bugs debuggable.
-		return nil, false, warns, fmt.Errorf("transform: generated code does not parse: %v\n--- generated ---\n%s", err, src)
+		return nil, warns, fmt.Errorf("transform: generated code does not parse: %v\n--- generated ---\n%s", err, src)
 	}
-	return formatted, changed, warns, nil
+	return formatted, warns, nil
 }
 
 // dryRun attempts to lower every site in isolation against the untouched
-// source, collecting the failures. A clean dry run means the real fixpoint
-// lowering will succeed; a dirty one yields one positioned diagnostic per
-// bad site.
+// source, collecting the failures. A clean dry run means every site lowers
+// on its own; the real pass can still fail where an outer lowering reads
+// what an inner one emitted (see gen.stmts and gen.settle). A dirty one
+// yields one positioned diagnostic per bad site.
 func dryRun(opts Options, src []byte, fset *token.FileSet, sites []*site, sem *sema.Result) directive.DiagnosticList {
 	var diags directive.DiagnosticList
 	for _, s := range sites {
@@ -295,11 +301,11 @@ type Step struct {
 // diagnostics of every bad directive comment instead of stopping at the
 // first. Sites whose directive failed to parse or validate are excluded
 // from the returned list (they cannot be lowered).
-func scan(filename string, src []byte) ([]*site, *token.FileSet, *ast.File, directive.DiagnosticList) {
+func scan(filename string, src []byte) ([]*site, *token.FileSet, directive.DiagnosticList) {
 	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
+	file, err := parser.ParseFile(fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
-		return nil, fset, nil, goSyntaxDiagnostics(err)
+		return nil, fset, goSyntaxDiagnostics(err)
 	}
 	offset := func(p token.Pos) int { return fset.Position(p).Offset }
 
@@ -365,7 +371,7 @@ func scan(filename string, src []byte) ([]*site, *token.FileSet, *ast.File, dire
 			sites = append(sites, s)
 		}
 	}
-	return sites, fset, file, diags
+	return sites, fset, diags
 }
 
 // followingStmt returns the first statement beginning after the comment and
@@ -387,23 +393,6 @@ func followingStmt(fset *token.FileSet, stmts []ast.Stmt, c *ast.Comment) ast.St
 	}
 	if fset.Position(best.Pos()).Line > cLine+1 {
 		return nil
-	}
-	return best
-}
-
-// pickTarget selects the directive to lower this pass: the lexically last
-// one, so that directives nested inside another directive's statement are
-// lowered first. Section markers are consumed by their enclosing sections
-// construct, never lowered directly.
-func pickTarget(sites []*site) *site {
-	var best *site
-	for _, s := range sites {
-		if s.invalid || s.dir.Construct == directive.ConstructSection {
-			continue
-		}
-		if best == nil || s.commentStart > best.commentStart {
-			best = s
-		}
 	}
 	return best
 }
