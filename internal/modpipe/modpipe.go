@@ -7,11 +7,12 @@
 //
 // Semantic analysis (Options.Sema) runs as its own phase before the
 // transform phase, one unit per (directory, package clause) so
-// cross-file names resolve. The per-file transformer always runs with
-// its own sema stage off: transform outputs and cache entries are
-// mode-independent, and the pipeline owns blocking (strict mode withholds
-// the output of files with sema errors) and demotion (warn mode reports
-// the same findings at warning severity).
+// cross-file names resolve. The per-file transformer runs with its own
+// sema stage off, so no package is checked twice, and the pipeline owns
+// blocking (strict mode withholds the output of files with sema errors)
+// and demotion (warn mode reports the same findings at warning severity).
+// The lowering reads no types, so transform outputs and cache entries are
+// mode-independent.
 //
 // Three properties the production story depends on, all tested:
 //
@@ -122,9 +123,8 @@ func Run(root string, opts Options) (*Result, error) {
 		opts.Transform = transform.DefaultOptions()
 	}
 	// Package-level semantic analysis is this pipeline's phase (the unit
-	// is the package, not the file); force the per-file transformer's own
-	// sema stage off so transform outputs and cache entries stay
-	// mode-independent.
+	// is the package, not the file); turn the per-file transformer's own
+	// sema stage off so no file is checked twice.
 	semaMode := opts.Sema
 	opts.Transform.Sema = sema.Off
 

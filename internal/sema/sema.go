@@ -109,10 +109,6 @@ type Result struct {
 	// Directives lists every cleanly parsed directive in the unit after
 	// Diagnose ran, in source order, with clause symbols resolved.
 	Directives []Checked
-
-	// idents indexes, per file name, byte offset -> identifier, built
-	// lazily for ObjectAt.
-	idents map[string]map[int]*ast.Ident
 }
 
 // Check parses and type-checks one unit: a map from file name to source.
@@ -163,37 +159,6 @@ func Check(unit map[string][]byte) (res *Result) {
 	return res
 }
 
-// ObjectAt returns the object bound to the identifier spelled name at the
-// given byte offset in file, or nil when no such identifier exists or the
-// checker did not bind it. The name guard makes stale-offset queries (from
-// a caller whose source has since been rewritten) fail safe.
-func (r *Result) ObjectAt(file string, offset int, name string) types.Object {
-	if r == nil || r.Info == nil {
-		return nil
-	}
-	if r.idents == nil {
-		r.idents = map[string]map[int]*ast.Ident{}
-		for _, f := range r.Files {
-			byOff := map[int]*ast.Ident{}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					byOff[r.Fset.Position(id.Pos()).Offset] = id
-				}
-				return true
-			})
-			r.idents[r.Fset.Position(f.Pos()).Filename] = byOff
-		}
-	}
-	id := r.idents[file][offset]
-	if id == nil || id.Name != name {
-		return nil
-	}
-	if obj := r.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return r.Info.Uses[id]
-}
-
 // lookup resolves name lexically at pos via the package's scope tree.
 func (r *Result) lookup(name string, pos token.Pos) types.Object {
 	if r.Pkg == nil {
@@ -229,60 +194,13 @@ func (r *Result) Diagnose() (diags directive.DiagnosticList) {
 }
 
 func (r *Result) diagnoseFile(f *ast.File, diags *directive.DiagnosticList) {
-	var stmts []ast.Stmt
-	ast.Inspect(f, func(n ast.Node) bool {
-		if s, ok := n.(ast.Stmt); ok {
-			stmts = append(stmts, s)
-		}
-		return true
-	})
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, "//") {
-				continue
-			}
-			body, bodyOff, ok := directive.DirectiveBody(c.Text[2:])
-			if !ok {
-				continue
-			}
-			pos := r.Fset.Position(c.Pos())
-			dpos := directive.Pos{
-				File: pos.Filename,
-				Line: pos.Line,
-				Col:  pos.Column + 2 + bodyOff,
-			}
-			d, dl := directive.ParseAt(body, dpos)
-			if d == nil || len(dl) > 0 {
-				continue
-			}
-			var stmt ast.Stmt
-			if !d.IsStandalone() {
-				stmt = followingStmt(r.Fset, stmts, c)
-			}
-			r.checkDirective(d, dpos, len(body), c.Pos(), stmt, diags)
-			r.Directives = append(r.Directives, Checked{Dir: d, Pos: pos})
-		}
-	}
-}
-
-// followingStmt mirrors the transformer's association rule: the first
-// statement beginning after the comment, no more than one line below.
-func followingStmt(fset *token.FileSet, stmts []ast.Stmt, c *ast.Comment) ast.Stmt {
-	cEnd := c.End()
-	cLine := fset.Position(c.End()).Line
-	var best ast.Stmt
-	for _, s := range stmts {
-		if s.Pos() <= cEnd {
+	for _, s := range directive.Sites(r.Fset, f) {
+		if s.Dir == nil || len(s.Diags) > 0 {
 			continue
 		}
-		if best == nil || s.Pos() < best.Pos() {
-			best = s
-		}
+		r.checkDirective(s.Dir, s.BodyPos, len(s.Body), s.Comment.Pos(), s.Stmt, diags)
+		r.Directives = append(r.Directives, Checked{Dir: s.Dir, Pos: s.Pos})
 	}
-	if best == nil || fset.Position(best.Pos()).Line > cLine+1 {
-		return nil
-	}
-	return best
 }
 
 // interiorPos picks a resolution position just inside a statement's block,

@@ -498,21 +498,3 @@ func TestDemoteCopies(t *testing.T) {
 		t.Fatal("demoted list still counts errors")
 	}
 }
-
-func TestObjectAtNameGuard(t *testing.T) {
-	res := Check(map[string][]byte{"unit.go": []byte(`package p
-
-var counter = 0
-`)})
-	// Find counter's offset: "var counter" — counter starts at byte 15.
-	off := strings.Index("package p\n\nvar counter = 0\n", "counter")
-	if obj := res.ObjectAt("unit.go", off, "counter"); obj == nil {
-		t.Fatal("ObjectAt did not find counter")
-	}
-	if obj := res.ObjectAt("unit.go", off, "other"); obj != nil {
-		t.Fatal("ObjectAt ignored the name guard")
-	}
-	if obj := res.ObjectAt("unit.go", off+1, "counter"); obj != nil {
-		t.Fatal("ObjectAt matched a non-identifier offset")
-	}
-}

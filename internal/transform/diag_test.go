@@ -201,3 +201,43 @@ func TestCollapseNestBrokenByInnerDirective(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregatesLoweringFailures: every site is lowered once and every
+// failure is collected, so an error that only shows once an inner
+// directive is lowered (the collapse nest broken by a critical) is
+// reported alongside an unrelated one elsewhere in the file.
+func TestAggregatesLoweringFailures(t *testing.T) {
+	src := `package p
+
+func orphan(n int) {
+	//omp for
+	for i := 0; i < n; i++ {
+	}
+}
+
+func nest(n int) {
+	//omp parallel
+	{
+		//omp for collapse(2)
+		for i := 0; i < n; i++ {
+			//omp critical
+			for j := 0; j < n; j++ {
+				_ = i + j
+			}
+		}
+	}
+}
+`
+	_, err := File("agg.go", []byte(src), DefaultOptions())
+	diags, ok := err.(directive.DiagnosticList)
+	if !ok || len(diags) != 2 {
+		t.Fatalf("got %v, want two diagnostics", err)
+	}
+	if diags[0].Line != 4 || diags[0].Kind != directive.DiagBadNesting || !strings.Contains(diags[0].Msg, "orphaned worksharing") {
+		t.Errorf("first diagnostic %v, want the orphaned omp for at line 4", diags[0])
+	}
+	if diags[1].Line != 12 || diags[1].Kind != directive.DiagBadLoop ||
+		!strings.Contains(diags[1].Msg, "requires a perfectly nested for loop at depth 2") {
+		t.Errorf("second diagnostic %v, want the broken collapse nest at line 12", diags[1])
+	}
+}

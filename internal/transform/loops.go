@@ -17,10 +17,9 @@ import (
 // expressions evaluated by the generated code).
 type loopInfo struct {
 	varName string
-	varPos  token.Pos // position of the loop variable's init identifier
-	lb      string    // begin expression
-	end     string    // exclusive end expression (adjusted for <= / >=)
-	step    string    // signed step expression
+	lb      string // begin expression
+	end     string // exclusive end expression (adjusted for <= / >=)
+	step    string // signed step expression
 }
 
 func analyzeFor(g *gen, fs *ast.ForStmt) (loopInfo, error) {
@@ -42,7 +41,6 @@ func analyzeFor(g *gen, fs *ast.ForStmt) (loopInfo, error) {
 		return info, fmt.Errorf("loop variable must be a plain identifier")
 	}
 	info.varName = ident.Name
-	info.varPos = ident.Pos()
 	info.lb = g.text(assign.Rhs[0])
 
 	// Cond: `i OP bound` with OP in < <= > >=.

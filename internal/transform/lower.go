@@ -7,21 +7,16 @@ import (
 	"strings"
 
 	"repro/internal/directive"
-	"repro/internal/sema"
 )
 
-// gen carries the state for lowering one directive site.
+// gen carries the state for lowering one directive site. It holds the
+// syntax and the edits of the inner sites only: the lowering reads no types,
+// so its output does not depend on the sema mode.
 type gen struct {
 	opts  Options
 	src   []byte
 	fset  *token.FileSet
 	sites []*site
-	// sem is the unit's sema result when the sema stage ran (nil
-	// otherwise). Lowerings consult it to replace string heuristics with
-	// object identity — collapse bound-independence in particular. It was
-	// computed on the original source, and so was the AST every lowering
-	// reads, so its offsets always line up.
-	sem *sema.Result
 	// threadOK is true when the generated code may reference the thread
 	// variable introduced by an enclosing lowered construct.
 	threadOK bool
@@ -51,7 +46,7 @@ func (e *edit) stmts() []string {
 	switch {
 	case e.repl == "":
 		return nil
-	case e.site.dir.Construct == directive.ConstructOrdered && e.site.stmt == nil:
+	case e.site.Dir.Construct == directive.ConstructOrdered && e.site.Stmt == nil:
 		return strings.Split(e.repl, "\n")
 	}
 	return []string{e.repl}
@@ -108,11 +103,11 @@ func (g *gen) settle(s *site) error {
 		if e.repl != "" && !g.carried(e.start, e.end) {
 			return e.site.diag(directive.DiagBadNesting,
 				"%q at this position is lost when the enclosing %q is lowered: move it into that construct's body",
-				e.site.dir.Construct, s.dir.Construct)
+				e.site.Dir.Construct, s.Dir.Construct)
 		}
 	}
 	for _, m := range g.sites {
-		if m.dir.Construct == directive.ConstructSection && !m.dropped &&
+		if m.Dir.Construct == directive.ConstructSection && !m.dropped &&
 			s.commentStart < m.commentStart && m.commentStart < s.end() {
 			m.dropped = !g.carried(m.commentStart, m.commentEnd)
 		}
@@ -176,7 +171,7 @@ func (g *gen) stmts(block *ast.BlockStmt) []blockStmt {
 // replaces.
 func (g *gen) lower(s *site) (repl string, start, end int, err error) {
 	start, end = s.commentStart, s.end()
-	switch s.dir.Construct {
+	switch s.Dir.Construct {
 	case directive.ConstructBarrier:
 		repl, err = g.requireThread(s, threadVar+".Barrier()")
 	case directive.ConstructTaskwait:
@@ -189,7 +184,7 @@ func (g *gen) lower(s *site) (repl string, start, end int, err error) {
 		repl, err = g.requireThread(s, threadVar+".Taskyield()")
 	case directive.ConstructCancel:
 		code := threadVar + ".Cancel()"
-		if cond, ok := s.dir.Expr(directive.ClauseIf); ok {
+		if cond, ok := s.Dir.Expr(directive.ClauseIf); ok {
 			code = "if " + cond + " {\n" + code + "\n}"
 		}
 		repl, err = g.requireThread(s, code)
@@ -211,7 +206,7 @@ func (g *gen) lower(s *site) (repl string, start, end int, err error) {
 	case directive.ConstructSingle:
 		repl, err = g.lowerSingle(s)
 	case directive.ConstructMaster:
-		repl, err = g.requireThread(s, fmt.Sprintf("%s.Master(func() %s)", threadVar, g.blockText(s.stmt)))
+		repl, err = g.requireThread(s, fmt.Sprintf("%s.Master(func() %s)", threadVar, g.blockText(s.Stmt)))
 	case directive.ConstructCritical:
 		repl = g.lowerCritical(s)
 	case directive.ConstructAtomic:
@@ -221,7 +216,7 @@ func (g *gen) lower(s *site) (repl string, start, end int, err error) {
 	case directive.ConstructTask:
 		repl, err = g.lowerTask(s)
 	case directive.ConstructTaskgroup:
-		repl, err = g.requireThread(s, fmt.Sprintf("%s.Taskgroup(func() %s)", threadVar, g.blockText(s.stmt)))
+		repl, err = g.requireThread(s, fmt.Sprintf("%s.Taskgroup(func() %s)", threadVar, g.blockText(s.Stmt)))
 	case directive.ConstructTaskloop:
 		repl, err = g.lowerTaskloop(s)
 	case directive.ConstructTarget:
@@ -235,7 +230,7 @@ func (g *gen) lower(s *site) (repl string, start, end int, err error) {
 	case directive.ConstructTargetTeamsDistributeParallelFor:
 		repl, err = g.lowerTargetTeamsFor(s)
 	default:
-		err = s.diag(directive.DiagUnsupported, "construct %q cannot be lowered here", s.dir.Construct)
+		err = s.diag(directive.DiagUnsupported, "construct %q cannot be lowered here", s.Dir.Construct)
 	}
 	return repl, start, end, err
 }
@@ -244,7 +239,7 @@ func (g *gen) lower(s *site) (repl string, start, end int, err error) {
 func (g *gen) requireThread(s *site, code string) (string, error) {
 	if !g.threadOK {
 		return "", s.diag(directive.DiagBadNesting,
-			"%q must be nested inside a parallel (or task) directive: no thread context in scope", s.dir.Construct)
+			"%q must be nested inside a parallel (or task) directive: no thread context in scope", s.Dir.Construct)
 	}
 	return code, nil
 }
@@ -427,13 +422,13 @@ func (g *gen) forOpts(d *directive.Directive, forceNowait bool) string {
 
 // lowerParallel emits the region for `omp parallel`.
 func (g *gen) lowerParallel(s *site) (string, error) {
-	return g.parallelWrapper(s, g.bodyOf(s.stmt))
+	return g.parallelWrapper(s, g.bodyOf(s.Stmt))
 }
 
 // parallelWrapper wraps innerBody (statement text) in a parallel region with
 // the site's clauses applied.
 func (g *gen) parallelWrapper(s *site, innerBody string) (string, error) {
-	d := s.dir
+	d := s.Dir
 	var b strings.Builder
 	switch {
 	case g.threadOK:
@@ -468,8 +463,8 @@ func (g *gen) lowerFor(s *site, tvar string) (string, error) {
 
 // forBody generates the loop lowering shared by for and parallel for.
 func (g *gen) forBody(s *site, tvar string) (string, error) {
-	d := s.dir
-	fs, ok := s.stmt.(*ast.ForStmt)
+	d := s.Dir
+	fs, ok := s.Stmt.(*ast.ForStmt)
 	if !ok {
 		return "", s.diag(directive.DiagBadLoop, "%q must be followed by a for statement", d.Construct)
 	}
@@ -567,7 +562,7 @@ func (g *gen) collectNest(s *site, outer *ast.ForStmt, n int) ([]loopInfo, *ast.
 				return nil, nil, s.diag(directive.DiagBadLoop,
 					"collapse(%d): nested loops reuse the loop variable name %q", n, info.varName)
 			}
-			if exprMentions(g, cur, outerInfo) {
+			if exprMentions(cur, outerInfo) {
 				return nil, nil, s.diag(directive.DiagBadLoop,
 					"collapse(%d): loop bounds at depth %d must not depend on the outer loop variable %q",
 					n, level, outerInfo.varName)
@@ -606,7 +601,7 @@ func (g *gen) emitCollapse(b *strings.Builder, s *site, outer *ast.ForStmt, tvar
 		fmt.Fprintf(b, "%s := int(__omp_l1.Iteration(__omp_i / __omp_n2))\n_ = %s\n", oinfo.varName, oinfo.varName)
 		fmt.Fprintf(b, "%s := int(__omp_l2.Iteration(__omp_i %% __omp_n2))\n_ = %s\n", iinfo.varName, iinfo.varName)
 		b.WriteString(g.bodyOf(innermost.Body))
-		b.WriteString("\n}" + g.forOpts(s.dir, len(reductionVars(s.dir)) > 0) + ")\n")
+		b.WriteString("\n}" + g.forOpts(s.Dir, len(reductionVars(s.Dir)) > 0) + ")\n")
 		return nil
 	}
 	fmt.Fprintf(b, "%s.ForNest([]%s.Loop{\n", tvar, g.pkg())
@@ -618,7 +613,7 @@ func (g *gen) emitCollapse(b *strings.Builder, s *site, outer *ast.ForStmt, tvar
 		fmt.Fprintf(b, "%s := int(__omp_ix[%d])\n_ = %s\n", info.varName, i, info.varName)
 	}
 	b.WriteString(g.bodyOf(innermost.Body))
-	b.WriteString("\n}" + g.forOpts(s.dir, len(reductionVars(s.dir)) > 0) + ")\n")
+	b.WriteString("\n}" + g.forOpts(s.Dir, len(reductionVars(s.Dir)) > 0) + ")\n")
 	return nil
 }
 
@@ -643,7 +638,7 @@ func (g *gen) emitDoacross(b *strings.Builder, s *site, outer *ast.ForStmt, tvar
 		fmt.Fprintf(b, "%s := int(__omp_ix[%d])\n_ = %s\n", info.varName, i, info.varName)
 	}
 	b.WriteString(g.bodyOf(innermost.Body))
-	b.WriteString("\n}" + g.forOpts(s.dir, false) + ")\n")
+	b.WriteString("\n}" + g.forOpts(s.Dir, false) + ")\n")
 	return nil
 }
 
@@ -654,8 +649,8 @@ func (g *gen) lowerParallelFor(s *site) (string, error) {
 	// ones go to the inner for. Data-sharing and reduction belong on the
 	// wrapper so privatisation happens once per thread.
 	inner := *s
-	innerDir := *s.dir
-	inner.dir = &innerDir
+	innerDir := *s.Dir
+	inner.Dir = &innerDir
 
 	savedThreadOK := g.threadOK
 	g.threadOK = true // the wrapper introduces the thread variable
@@ -672,15 +667,15 @@ func (g *gen) lowerParallelFor(s *site) (string, error) {
 // wrapperSite copies s with only the parallel-level clauses (num_threads,
 // if) kept, for the enclosing region of a combined construct.
 func wrapperSite(s *site) *site {
-	wrapper := *s.dir
+	wrapper := *s.Dir
 	wrapper.Clauses = nil
-	for _, c := range s.dir.Clauses {
+	for _, c := range s.Dir.Clauses {
 		if k := c.ClauseKind(); k == directive.ClauseNumThreads || k == directive.ClauseIf {
 			wrapper.Clauses = append(wrapper.Clauses, c)
 		}
 	}
 	ws := *s
-	ws.dir = &wrapper
+	ws.Dir = &wrapper
 	return &ws
 }
 
@@ -689,7 +684,7 @@ func (g *gen) lowerSections(s *site, tvar string) (string, error) {
 	if !g.threadOK {
 		return "", s.diag(directive.DiagBadNesting, "`omp sections` must be nested inside `omp parallel`")
 	}
-	block, ok := s.stmt.(*ast.BlockStmt)
+	block, ok := s.Stmt.(*ast.BlockStmt)
 	if !ok {
 		return "", s.diag(directive.DiagNoStatement, "`omp sections` must be followed by a block")
 	}
@@ -699,15 +694,15 @@ func (g *gen) lowerSections(s *site, tvar string) (string, error) {
 	}
 	var b strings.Builder
 	b.WriteString("{\n")
-	b.WriteString(g.privatePrologue(s.dir))
-	b.WriteString(g.reductionPrologue(s.dir))
+	b.WriteString(g.privatePrologue(s.Dir))
+	b.WriteString(g.reductionPrologue(s.Dir))
 	fmt.Fprintf(&b, "%s.Sections([]func(){\n", tvar)
 	for _, grp := range groups {
 		b.WriteString("func() {\n" + grp + "\n},\n")
 	}
-	b.WriteString("}" + g.forOpts(s.dir, len(reductionVars(s.dir)) > 0) + ")\n")
-	if len(reductionVars(s.dir)) > 0 {
-		b.WriteString(g.reductionEpilogue(s.dir, tvar, !s.dir.Has(directive.ClauseNowait)))
+	b.WriteString("}" + g.forOpts(s.Dir, len(reductionVars(s.Dir)) > 0) + ")\n")
+	if len(reductionVars(s.Dir)) > 0 {
+		b.WriteString(g.reductionEpilogue(s.Dir, tvar, !s.Dir.Has(directive.ClauseNowait)))
 	}
 	b.WriteString("}")
 	return b.String(), nil
@@ -722,7 +717,7 @@ func (g *gen) sectionGroups(block *ast.BlockStmt) []string {
 	lbrace := g.fset.Position(block.Lbrace).Offset
 	rbrace := g.fset.Position(block.Rbrace).Offset
 	for _, site := range g.sites {
-		if !site.invalid && !site.dropped && site.dir.Construct == directive.ConstructSection &&
+		if !site.invalid && !site.dropped && site.Dir.Construct == directive.ConstructSection &&
 			site.commentStart >= lbrace && site.commentEnd <= rbrace {
 			markers = append(markers, site.commentStart)
 		}
@@ -775,8 +770,8 @@ func sortInts(xs []int) {
 // lowerParallelSections wraps sections in a parallel region.
 func (g *gen) lowerParallelSections(s *site) (string, error) {
 	inner := *s
-	innerDir := *s.dir
-	inner.dir = &innerDir
+	innerDir := *s.Dir
+	inner.Dir = &innerDir
 	saved := g.threadOK
 	g.threadOK = true
 	secCode, err := g.lowerSections(&inner, threadVar)
@@ -792,20 +787,20 @@ func (g *gen) lowerSingle(s *site) (string, error) {
 	if !g.threadOK {
 		return "", s.diag(directive.DiagBadNesting, "`omp single` must be nested inside `omp parallel`")
 	}
-	d := s.dir
+	d := s.Dir
 	cpVars := d.Vars(directive.ClauseCopyprivate)
 	var b strings.Builder
 	if len(cpVars) == 0 {
 		fmt.Fprintf(&b, "%s.Single(func() {\n", threadVar)
 		b.WriteString(g.privatePrologue(d))
-		b.WriteString(g.bodyOf(s.stmt))
+		b.WriteString(g.bodyOf(s.Stmt))
 		b.WriteString("\n}" + g.forOpts(d, false) + ")")
 		return b.String(), nil
 	}
 	b.WriteString("{\n")
 	fmt.Fprintf(&b, "__omp_cp := %s.SingleCopy(func() any {\n", threadVar)
 	b.WriteString(g.privatePrologue(d))
-	b.WriteString(g.bodyOf(s.stmt))
+	b.WriteString(g.bodyOf(s.Stmt))
 	b.WriteString("\nreturn []any{" + strings.Join(cpVars, ", ") + "}\n}).([]any)\n")
 	for i, v := range cpVars {
 		fmt.Fprintf(&b, "%s.CopyAssign(&%s, __omp_cp[%d])\n", g.pkg(), v, i)
@@ -817,12 +812,12 @@ func (g *gen) lowerSingle(s *site) (string, error) {
 // lowerCritical emits critical; without a thread context it falls back to
 // the default runtime's named locks, which exclude across regions anyway.
 func (g *gen) lowerCritical(s *site) string {
-	name, _ := s.dir.Name()
+	name, _ := s.Dir.Name()
 	recv := g.pkg()
 	if g.threadOK {
 		recv = threadVar
 	}
-	return fmt.Sprintf("%s.Critical(%q, func() %s)", recv, name, g.blockText(s.stmt))
+	return fmt.Sprintf("%s.Critical(%q, func() %s)", recv, name, g.blockText(s.Stmt))
 }
 
 // lowerAtomic wraps the statement in the dedicated atomic lock. A real
@@ -834,7 +829,7 @@ func (g *gen) lowerAtomic(s *site) string {
 	if g.threadOK {
 		recv = threadVar
 	}
-	return fmt.Sprintf("%s.Critical(\"\\x00omp.atomic\", func() %s)", recv, g.blockText(s.stmt))
+	return fmt.Sprintf("%s.Critical(\"\\x00omp.atomic\", func() %s)", recv, g.blockText(s.Stmt))
 }
 
 // lowerOrdered emits the ordered construct. Its block form becomes an
@@ -847,10 +842,10 @@ func (g *gen) lowerOrdered(s *site) (string, error) {
 	// clause; its parameter decides which form is legal here.
 	var encl *site
 	for _, e := range g.sites {
-		if e == s || e.stmt == nil {
+		if e == s || e.Stmt == nil {
 			continue
 		}
-		if e.stmtStart <= s.commentStart && s.end() <= e.stmtEnd && e.dir.Has(directive.ClauseOrdered) {
+		if e.stmtStart <= s.commentStart && s.end() <= e.stmtEnd && e.Dir.Has(directive.ClauseOrdered) {
 			if encl == nil || e.stmtStart > encl.stmtStart {
 				encl = e
 			}
@@ -858,10 +853,10 @@ func (g *gen) lowerOrdered(s *site) (string, error) {
 	}
 	enclN := -1
 	if encl != nil {
-		enclN, _ = encl.dir.Ordered()
+		enclN, _ = encl.Dir.Ordered()
 	}
 
-	deps := s.dir.Depends()
+	deps := s.Dir.Depends()
 	if len(deps) == 0 {
 		// Block form: requires a plain (parameterless) ordered loop.
 		if enclN != 0 {
@@ -871,7 +866,7 @@ func (g *gen) lowerOrdered(s *site) (string, error) {
 			}
 			return "", s.diag(directive.DiagBadNesting, "`omp ordered` must be nested inside a loop with the ordered clause")
 		}
-		return fmt.Sprintf("__omp_ord.Do(func() %s)", g.blockText(s.stmt)), nil
+		return fmt.Sprintf("__omp_ord.Do(func() %s)", g.blockText(s.Stmt)), nil
 	}
 
 	// Doacross form: requires an enclosing ordered(n) loop, and every sink
@@ -951,7 +946,7 @@ func (g *gen) lowerTask(s *site) (string, error) {
 	if !g.threadOK {
 		return "", s.diag(directive.DiagBadNesting, "`omp task` must be nested inside `omp parallel`")
 	}
-	d := s.dir
+	d := s.Dir
 	var b strings.Builder
 	b.WriteString("{\n")
 	// Creation-time snapshots.
@@ -962,7 +957,7 @@ func (g *gen) lowerTask(s *site) (string, error) {
 	for _, v := range d.Vars(directive.ClausePrivate) {
 		fmt.Fprintf(&b, "%s := %s.Zero(%s)\n_ = %s\n", v, g.pkg(), v, v)
 	}
-	b.WriteString(g.bodyOf(s.stmt))
+	b.WriteString(g.bodyOf(s.Stmt))
 	b.WriteString("\n}" + g.taskOpts(d) + ")\n}")
 	return b.String(), nil
 }
@@ -972,7 +967,7 @@ func (g *gen) lowerTaskloop(s *site) (string, error) {
 	if !g.threadOK {
 		return "", s.diag(directive.DiagBadNesting, "`omp taskloop` must be nested inside `omp parallel`")
 	}
-	fs, ok := s.stmt.(*ast.ForStmt)
+	fs, ok := s.Stmt.(*ast.ForStmt)
 	if !ok {
 		return "", s.diag(directive.DiagBadLoop, "`omp taskloop` must be followed by a for statement")
 	}
@@ -981,22 +976,22 @@ func (g *gen) lowerTaskloop(s *site) (string, error) {
 		return "", s.diag(directive.DiagBadLoop, "%v", err)
 	}
 	grain := "0"
-	if e, ok := s.dir.Expr(directive.ClauseGrainsize); ok {
+	if e, ok := s.Dir.Expr(directive.ClauseGrainsize); ok {
 		grain = e
 	}
 	var b strings.Builder
 	b.WriteString("{\n")
-	for _, v := range s.dir.Vars(directive.ClauseFirstprivate) {
+	for _, v := range s.Dir.Vars(directive.ClauseFirstprivate) {
 		fmt.Fprintf(&b, "%s := %s\n_ = %s\n", v, v, v)
 	}
 	fmt.Fprintf(&b, "__omp_loop := %s.Loop{Begin: int64(%s), End: int64(%s), Step: int64(%s)}\n", g.pkg(), info.lb, info.end, info.step)
 	fmt.Fprintf(&b, "%s.Taskloop(int(__omp_loop.TripCount()), %s, func(__omp_k int) {\n", threadVar, grain)
 	fmt.Fprintf(&b, "%s := int(__omp_loop.Iteration(int64(__omp_k)))\n_ = %s\n", info.varName, info.varName)
-	for _, v := range s.dir.Vars(directive.ClausePrivate) {
+	for _, v := range s.Dir.Vars(directive.ClausePrivate) {
 		fmt.Fprintf(&b, "%s := %s.Zero(%s)\n_ = %s\n", v, g.pkg(), v, v)
 	}
 	b.WriteString(g.bodyOf(fs.Body))
-	b.WriteString("\n}" + g.taskOpts(s.dir) + ")\n}")
+	b.WriteString("\n}" + g.taskOpts(s.Dir) + ")\n}")
 	return b.String(), nil
 }
 
@@ -1011,48 +1006,27 @@ func (g *gen) soleStmt(b *ast.BlockStmt) ast.Stmt {
 }
 
 // exprMentions reports whether the loop header of fs references the outer
-// collapsed loop's variable. Without type information this is a name match
-// (conservative: a shadowing redeclaration of the same name is flagged even
-// though its bounds are independent). When a sema result is available, an
-// identifier that provably binds to a *different* object than the outer
-// loop variable is not a dependence — the check runs against types.Info
-// instead of the string heuristic.
-func exprMentions(g *gen, fs *ast.ForStmt, outer loopInfo) bool {
+// collapsed loop's variable. The lowering has no type information, so this
+// is a name match, conservative for a shadowing redeclaration of the same
+// name, but aware of one scope rule: in a selector x.j, j is a field,
+// method or package member, never the loop variable, so only x is checked.
+func exprMentions(fs *ast.ForStmt, outer loopInfo) bool {
 	found := false
-	check := func(n ast.Node) {
-		if n == nil {
-			return
+	var visit func(ast.Node) bool
+	visit = func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.SelectorExpr:
+			ast.Inspect(x.X, visit)
+			return false
+		case *ast.Ident:
+			found = found || x.Name == outer.varName
 		}
-		ast.Inspect(n, func(x ast.Node) bool {
-			if id, ok := x.(*ast.Ident); ok && id.Name == outer.varName {
-				if !g.sameObjectAsLoopVar(id, outer) {
-					return true // provably a different variable: keep looking
-				}
-				found = true
-			}
-			return !found
-		})
+		return !found
 	}
-	check(fs.Init)
-	check(fs.Cond)
-	check(fs.Post)
+	for _, n := range []ast.Node{fs.Init, fs.Cond, fs.Post} {
+		if n != nil {
+			ast.Inspect(n, visit)
+		}
+	}
 	return found
-}
-
-// sameObjectAsLoopVar decides whether id denotes the outer loop variable.
-// Without sema (or when either identifier did not bind) it answers true —
-// the conservative name-heuristic behaviour. ObjectAt's name guard makes
-// offset lookups fail safe if the source was rewritten since sema ran.
-func (g *gen) sameObjectAsLoopVar(id *ast.Ident, outer loopInfo) bool {
-	if g.sem == nil || !outer.varPos.IsValid() {
-		return true
-	}
-	idPos := g.fset.Position(id.Pos())
-	obj := g.sem.ObjectAt(idPos.Filename, idPos.Offset, id.Name)
-	vPos := g.fset.Position(outer.varPos)
-	loopObj := g.sem.ObjectAt(vPos.Filename, vPos.Offset, outer.varName)
-	if obj == nil || loopObj == nil {
-		return true
-	}
-	return obj == loopObj
 }

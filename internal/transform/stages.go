@@ -55,19 +55,10 @@ type Stages struct {
 	Output []byte
 }
 
-// FileStages transforms src recording every pipeline stage.
+// FileStages transforms src recording every pipeline stage. It runs the
+// same pass as File, which fills in each stage as it goes.
 func FileStages(filename string, src []byte, opts Options) (*Stages, error) {
 	st := &Stages{}
-	// run performs the full diagnostic pre-flight (parse, validate, sema,
-	// dry-run lowering) and aggregates every problem; this scan only
-	// records the stage-1/2 artifacts of the directives that parsed
-	// cleanly.
-	sites, _, _ := scan(filename, src)
-	for _, s := range sites {
-		if !s.invalid {
-			st.Scanned = append(st.Scanned, ScannedDirective{Pos: s.pos, Text: s.dir.Text, Parsed: s.dir})
-		}
-	}
 	out, _, err := run(filename, src, opts, st)
 	if err != nil {
 		return nil, err

@@ -62,10 +62,10 @@ func (g *gen) motionArgs(d *directive.Directive) string {
 // preprocessor has no deferred-task region to attach the target task to, so
 // asynchronous offload stays an API-level feature.
 func (g *gen) rejectTargetNowait(s *site) error {
-	if s.dir.Has(directive.ClauseNowait) {
+	if s.Dir.Has(directive.ClauseNowait) {
 		return s.diag(directive.DiagUnsupported,
 			"nowait on %q is not supported by the preprocessor; call %s.TargetNowait and %s.TargetSync directly for asynchronous offload",
-			s.dir.Construct, g.pkg(), g.pkg())
+			s.Dir.Construct, g.pkg(), g.pkg())
 	}
 	return nil
 }
@@ -114,14 +114,14 @@ func (g *gen) lowerTarget(s *site) (string, error) {
 	if err := g.rejectTargetNowait(s); err != nil {
 		return "", err
 	}
-	d := s.dir
+	d := s.Dir
 	var b strings.Builder
 	b.WriteString("{\n")
 	g.targetPreamble(&b, d)
 	fmt.Fprintf(&b, "if __omp_err := %s.TargetRegion(__omp_dev, %s.Launch{}, ", g.pkg(), g.pkg())
 	g.kernelHeader(&b)
 	b.WriteString(g.privatePrologue(d))
-	b.WriteString(g.bodyOf(s.stmt))
+	b.WriteString(g.bodyOf(s.Stmt))
 	b.WriteString("\n}" + g.mapArgs(d) + "); __omp_err != nil {\npanic(__omp_err)\n}\n}")
 	return b.String(), nil
 }
@@ -134,8 +134,8 @@ func (g *gen) lowerTargetTeamsFor(s *site) (string, error) {
 	if err := g.rejectTargetNowait(s); err != nil {
 		return "", err
 	}
-	d := s.dir
-	fs, ok := s.stmt.(*ast.ForStmt)
+	d := s.Dir
+	fs, ok := s.Stmt.(*ast.ForStmt)
 	if !ok {
 		return "", s.diag(directive.DiagBadLoop, "%q must be followed by a for statement", d.Construct)
 	}
@@ -191,12 +191,12 @@ func (g *gen) lowerTargetTeamsFor(s *site) (string, error) {
 // structured device data environment; its nested target constructs reuse
 // the mapped buffers through the present table.
 func (g *gen) lowerTargetData(s *site) (string, error) {
-	d := s.dir
+	d := s.Dir
 	var b strings.Builder
 	b.WriteString("{\n")
 	g.targetPreamble(&b, d)
 	fmt.Fprintf(&b, "if __omp_err := %s.TargetData(__omp_dev, func() error {\n", g.pkg())
-	b.WriteString(g.bodyOf(s.stmt))
+	b.WriteString(g.bodyOf(s.Stmt))
 	b.WriteString("\nreturn nil\n}" + g.mapArgs(d) + "); __omp_err != nil {\npanic(__omp_err)\n}\n}")
 	return b.String(), nil
 }
@@ -207,7 +207,7 @@ func (g *gen) lowerTargetEnterExit(s *site) (string, error) {
 	if err := g.rejectTargetNowait(s); err != nil {
 		return "", err
 	}
-	d := s.dir
+	d := s.Dir
 	call := "TargetEnterData"
 	if d.Construct == directive.ConstructTargetExitData {
 		call = "TargetExitData"
@@ -224,7 +224,7 @@ func (g *gen) lowerTargetUpdate(s *site) (string, error) {
 	if err := g.rejectTargetNowait(s); err != nil {
 		return "", err
 	}
-	d := s.dir
+	d := s.Dir
 	var b strings.Builder
 	b.WriteString("{\n")
 	g.targetPreamble(&b, d)

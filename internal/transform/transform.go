@@ -26,15 +26,14 @@
 // typed identities from the variables themselves ("this limitation was
 // overcome by leveraging generic programming features").
 //
-// Diagnostics are aggregated: File inspects every directive site before
-// rewriting anything, so a file with several bad directives reports all of
-// them — as a position-sorted directive.DiagnosticList — in one pass,
+// Diagnostics are aggregated: File lowers every directive site once and
+// collects every failure, so a file with several bad directives reports all
+// of them — as a position-sorted directive.DiagnosticList — in one pass,
 // instead of stopping at the first.
 package transform
 
 import (
 	"fmt"
-	"go/ast"
 	"go/format"
 	"go/parser"
 	"go/scanner"
@@ -53,9 +52,11 @@ type Options struct {
 	// ImportPath is the facade's import path.
 	ImportPath string
 	// Sema selects the semantic-analysis stage: Off (zero value) skips it,
-	// Strict makes sema findings block lowering like any other diagnostic,
-	// Warn reports them as warnings (via FileChecked) and lowers anyway.
-	// The unit is the single file; whole-package units are modpipe's job.
+	// Strict makes sema findings block the output like any other
+	// diagnostic, Warn reports them as warnings (via FileChecked). Sema
+	// only diagnoses: the lowering reads no types, so a file that lowers
+	// emits the same bytes in every mode. The unit is the single file;
+	// whole-package units are modpipe's job.
 	Sema sema.Mode
 }
 
@@ -64,17 +65,14 @@ func DefaultOptions() Options {
 	return Options{Package: "gomp", ImportPath: "repro"}
 }
 
-// site is one directive occurrence bound to its source location.
+// site is one directive occurrence bound to its source location: the
+// scanned directive plus the byte offsets the rewrite works in.
 type site struct {
-	dir          *directive.Directive
-	commentStart int // byte offset of the comment
+	directive.Site
+	commentStart int // byte offsets of the comment
 	commentEnd   int
-	stmt         ast.Stmt // associated statement (nil for standalone)
-	stmtStart    int
+	stmtStart    int // byte offsets of Stmt, when it is set
 	stmtEnd      int
-	pos          token.Position // position of the comment
-	dpos         directive.Pos  // position of the directive body inside the comment
-	dlen         int            // body length in bytes, for diagnostic spans
 	// invalid marks a site whose directive already has parse/validate
 	// diagnostics. Such sites are never lowered, but they stay in the
 	// list so enclosure computations (threadVarInScope, sectionGroups)
@@ -91,8 +89,8 @@ type site struct {
 // body.
 func (s *site) diag(kind directive.DiagKind, format string, args ...any) *directive.Diagnostic {
 	return &directive.Diagnostic{
-		File: s.dpos.File, Line: s.dpos.Line, Col: s.dpos.Col,
-		Span: max(s.dlen, 1), Kind: kind, Severity: directive.SevError,
+		File: s.BodyPos.File, Line: s.BodyPos.Line, Col: s.BodyPos.Col,
+		Span: max(len(s.Body), 1), Kind: kind, Severity: directive.SevError,
 		Msg: fmt.Sprintf(format, args...),
 	}
 }
@@ -116,32 +114,34 @@ func FileChecked(filename string, src []byte, opts Options) ([]byte, directive.D
 	return out, warns, err
 }
 
-// run is the driver: collect diagnostics for every directive site (scan →
-// parse → sema → dry-run lowering), then (only if the file is clean) lower
-// every site in one pass against the same parse, last comment first. An
-// inner site is thus lowered before the outer constructs that enclose it,
-// and the outer lowering reads the inner one's replacement through the edit
-// list (see gen.span). st, when non-nil, records the pipeline artifacts for
-// -dump-stages.
+// run is the driver: scan and parse every directive site, run the sema
+// stage, then lower every valid site once, last comment first, against the
+// same parse. An inner site is thus lowered before the outer constructs that
+// enclose it, and the outer lowering reads the inner one's replacement
+// through the edit list (see gen.span). A site that fails to lower or to
+// settle records its diagnostics and adds no edit, so the code around it
+// reads its original text and one bad site does not hide the others. st,
+// when non-nil, records the pipeline artifacts for -dump-stages.
 func run(filename string, src []byte, opts Options, st *Stages) ([]byte, directive.DiagnosticList, error) {
 	if opts.Package == "" {
 		def := DefaultOptions()
 		opts.Package, opts.ImportPath = def.Package, def.ImportPath
 	}
 
-	// Pre-flight: parse/validate every directive and attempt every
-	// lowering against the original source, so one bad site does not hide
-	// the others and every error carries its own position.
 	sites, fset, diags := scan(filename, src)
+	if st != nil {
+		for _, s := range sites {
+			if !s.invalid {
+				st.Scanned = append(st.Scanned, ScannedDirective{Pos: s.Pos, Text: s.Dir.Text, Parsed: s.Dir})
+			}
+		}
+	}
 
 	// Sema stage: type-check the unit and validate clauses against the
-	// types. The result also feeds the lowering itself (collapse
-	// bound-independence consults object identity instead of the name
-	// heuristic alone), so it is computed before the dry run.
-	var sem *sema.Result
+	// types. Its findings are diagnostics only; the lowering reads no types.
 	var warns directive.DiagnosticList
 	if opts.Sema != sema.Off {
-		sem = sema.Check(map[string][]byte{filename: src})
+		sem := sema.Check(map[string][]byte{filename: src})
 		findings := sem.Diagnose()
 		if opts.Sema == sema.Strict {
 			diags = append(diags, findings...)
@@ -160,12 +160,6 @@ func run(filename string, src []byte, opts Options, st *Stages) ([]byte, directi
 		}
 	}
 
-	diags = append(diags, dryRun(opts, src, fset, sites, sem)...)
-	if len(diags) > 0 {
-		diags.Sort()
-		return nil, warns, diags
-	}
-
 	// live holds the outermost lowerings so far, in source order. Sites
 	// come in source order, so the one lowered next starts before all of
 	// them, and the ones inside it are a prefix of live.
@@ -173,8 +167,8 @@ func run(filename string, src []byte, opts Options, st *Stages) ([]byte, directi
 	facade, facadeRef := false, opts.Package+"."
 	for i := len(sites) - 1; i >= 0; i-- {
 		s := sites[i]
-		if s.dir.Construct == directive.ConstructSection {
-			continue // consumed by the enclosing sections construct
+		if s.invalid || s.Dir.Construct == directive.ConstructSection {
+			continue // already diagnosed / consumed by the enclosing sections construct
 		}
 		n := 0
 		for n < len(live) && live[n].start < s.end() {
@@ -185,7 +179,6 @@ func run(filename string, src []byte, opts Options, st *Stages) ([]byte, directi
 			src:      src,
 			fset:     fset,
 			sites:    sites,
-			sem:      sem,
 			threadOK: threadVarInScope(s, sites),
 			rtOK:     rtVarInScope(s, sites),
 			edits:    live[:n],
@@ -195,17 +188,22 @@ func run(filename string, src []byte, opts Options, st *Stages) ([]byte, directi
 			err = g.settle(s)
 		}
 		if err != nil {
-			return nil, warns, asDiagnostics(err)
+			diags = append(diags, asDiagnostics(err)...)
+			continue
 		}
 		if st != nil {
 			st.Lowered = append(st.Lowered, Step{
-				Directive: s.dir,
-				Pos:       s.pos,
+				Directive: s.Dir,
+				Pos:       s.Pos,
 				Outlined:  strings.Count(repl, "func("),
 			})
 		}
 		live = slices.Insert(live[n:], 0, &edit{site: s, start: start, end: end, repl: repl})
 		facade = facade || strings.Contains(repl, facadeRef)
+	}
+	if len(diags) > 0 {
+		diags.Sort()
+		return nil, warns, diags
 	}
 	if len(live) == 0 {
 		// Nothing was lowered: emit the input byte for byte. scan has
@@ -227,33 +225,6 @@ func run(filename string, src []byte, opts Options, st *Stages) ([]byte, directi
 		return nil, warns, fmt.Errorf("transform: generated code does not parse: %v\n--- generated ---\n%s", err, src)
 	}
 	return formatted, warns, nil
-}
-
-// dryRun attempts to lower every site in isolation against the untouched
-// source, collecting the failures. A clean dry run means every site lowers
-// on its own; the real pass can still fail where an outer lowering reads
-// what an inner one emitted (see gen.stmts and gen.settle). A dirty one
-// yields one positioned diagnostic per bad site.
-func dryRun(opts Options, src []byte, fset *token.FileSet, sites []*site, sem *sema.Result) directive.DiagnosticList {
-	var diags directive.DiagnosticList
-	for _, s := range sites {
-		if s.invalid || s.dir.Construct == directive.ConstructSection {
-			continue // already diagnosed / consumed by enclosing sections
-		}
-		g := &gen{
-			opts:     opts,
-			src:      src,
-			fset:     fset,
-			sites:    sites,
-			sem:      sem,
-			threadOK: threadVarInScope(s, sites),
-			rtOK:     rtVarInScope(s, sites),
-		}
-		if _, _, _, err := g.lower(s); err != nil {
-			diags = append(diags, asDiagnostics(err)...)
-		}
-	}
-	return diags
 }
 
 // asDiagnostics normalises a lowering error into a DiagnosticList.
@@ -297,10 +268,10 @@ type Step struct {
 	Outlined  int // number of function literals the lowering produced
 }
 
-// scan parses src and collects every directive site, aggregating the
-// diagnostics of every bad directive comment instead of stopping at the
-// first. Sites whose directive failed to parse or validate are excluded
-// from the returned list (they cannot be lowered).
+// scan parses src and binds every directive site to its byte offsets,
+// aggregating the diagnostics of every bad directive comment instead of
+// stopping at the first. Sites whose construct was not recognised are
+// dropped; the others stay, marked invalid when they cannot be lowered.
 func scan(filename string, src []byte) ([]*site, *token.FileSet, directive.DiagnosticList) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
@@ -308,93 +279,32 @@ func scan(filename string, src []byte) ([]*site, *token.FileSet, directive.Diagn
 		return nil, fset, goSyntaxDiagnostics(err)
 	}
 	offset := func(p token.Pos) int { return fset.Position(p).Offset }
-
-	// Gather all statements once, sorted by position, for association.
-	var stmts []ast.Stmt
-	ast.Inspect(file, func(n ast.Node) bool {
-		if s, ok := n.(ast.Stmt); ok {
-			stmts = append(stmts, s)
-		}
-		return true
-	})
-
 	var sites []*site
 	var diags directive.DiagnosticList
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, "//") {
-				continue // block comments are not directive carriers
-			}
-			body, bodyOff, ok := directive.DirectiveBody(c.Text[2:])
-			if !ok {
-				continue
-			}
-			pos := fset.Position(c.Pos())
-			// The body starts bodyOff bytes after the comment text, which
-			// itself starts two slashes after the comment position.
-			dpos := directive.Pos{
-				File: pos.Filename,
-				Line: pos.Line,
-				Col:  pos.Column + 2 + bodyOff,
-			}
-			d, dl := directive.ParseAt(body, dpos)
-			diags = append(diags, dl...)
-			if d == nil {
-				continue // construct unrecognised: no site shape to keep
-			}
-			s := &site{
-				dir:          d,
-				commentStart: offset(c.Pos()),
-				commentEnd:   offset(c.End()),
-				pos:          pos,
-				dpos:         dpos,
-				dlen:         len(body),
-				invalid:      len(dl) > 0,
-			}
-			// Per-directive, not per-construct: ordered is standalone in
-			// its doacross forms (depend(sink)/depend(source)) and
-			// block-associated otherwise.
-			if !d.IsStandalone() {
-				stmt := followingStmt(fset, stmts, c)
-				if stmt == nil {
-					if !s.invalid {
-						diags = append(diags, s.diag(directive.DiagNoStatement,
-							"directive %q has no associated statement", d))
-					}
-					s.invalid = true
-				} else {
-					s.stmt = stmt
-					s.stmtStart = offset(stmt.Pos())
-					s.stmtEnd = offset(stmt.End())
-				}
-			}
-			sites = append(sites, s)
+	for _, ds := range directive.Sites(fset, file) {
+		diags = append(diags, ds.Diags...)
+		if ds.Dir == nil {
+			continue // construct unrecognised: no site shape to keep
 		}
+		s := &site{
+			Site:         ds,
+			commentStart: offset(ds.Comment.Pos()),
+			commentEnd:   offset(ds.Comment.End()),
+			invalid:      len(ds.Diags) > 0,
+		}
+		switch {
+		case ds.Stmt != nil:
+			s.stmtStart, s.stmtEnd = offset(ds.Stmt.Pos()), offset(ds.Stmt.End())
+		case !ds.Dir.IsStandalone():
+			if !s.invalid {
+				diags = append(diags, s.diag(directive.DiagNoStatement,
+					"directive %q has no associated statement", ds.Dir))
+			}
+			s.invalid = true
+		}
+		sites = append(sites, s)
 	}
 	return sites, fset, diags
-}
-
-// followingStmt returns the first statement beginning after the comment and
-// no more than one line below it.
-func followingStmt(fset *token.FileSet, stmts []ast.Stmt, c *ast.Comment) ast.Stmt {
-	cEnd := c.End()
-	cLine := fset.Position(c.End()).Line
-	var best ast.Stmt
-	for _, s := range stmts {
-		if s.Pos() <= cEnd {
-			continue
-		}
-		if best == nil || s.Pos() < best.Pos() {
-			best = s
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	if fset.Position(best.Pos()).Line > cLine+1 {
-		return nil
-	}
-	return best
 }
 
 // threadVarInScope reports whether the lowered code for target can assume
@@ -402,14 +312,14 @@ func followingStmt(fset *token.FileSet, stmts []ast.Stmt, c *ast.Comment) ast.St
 // directive whose lowering introduces one (parallel forms and task).
 func threadVarInScope(target *site, sites []*site) bool {
 	for _, s := range sites {
-		if s == target || s.stmt == nil {
+		if s == target || s.Stmt == nil {
 			continue
 		}
 		encloses := s.stmtStart <= target.commentStart && target.end() <= s.stmtEnd
 		if !encloses {
 			continue
 		}
-		switch s.dir.Construct {
+		switch s.Dir.Construct {
 		case directive.ConstructParallel, directive.ConstructParallelFor,
 			directive.ConstructParallelSections, directive.ConstructTask,
 			directive.ConstructTargetTeamsDistributeParallelFor:
@@ -424,13 +334,13 @@ func threadVarInScope(target *site, sites []*site) bool {
 // scope: true when enclosed by a target (or combined target) directive.
 func rtVarInScope(target *site, sites []*site) bool {
 	for _, s := range sites {
-		if s == target || s.stmt == nil {
+		if s == target || s.Stmt == nil {
 			continue
 		}
 		if s.stmtStart > target.commentStart || target.end() > s.stmtEnd {
 			continue
 		}
-		switch s.dir.Construct {
+		switch s.Dir.Construct {
 		case directive.ConstructTarget, directive.ConstructTargetTeamsDistributeParallelFor:
 			return true
 		}
@@ -441,7 +351,7 @@ func rtVarInScope(target *site, sites []*site) bool {
 // end returns the end of the site's replacement span: the statement end, or
 // the comment end for standalone directives.
 func (s *site) end() int {
-	if s.stmt == nil {
+	if s.Stmt == nil {
 		return s.commentEnd
 	}
 	return s.stmtEnd
