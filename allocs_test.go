@@ -13,7 +13,8 @@
 // Pinned at 0 allocs/op: same-size Fork, Barrier, default-schedule
 // ForChunks, ReduceFor (float64 and int64), ReduceForLoop, bare Reduce,
 // Single with and without NoWait, ForOrdered, ForDoacross, and task spawn,
-// depend-task spawn and taskloop.
+// depend-task spawn, taskloop, and a whole 2-thread region of depend-tasks
+// spawned on one member and retired on the other.
 //
 // AllocsPerRun counts mallocs process-wide, so team members other than the
 // measuring goroutine participate in lockstep: AllocsPerRun calls f once as
@@ -197,6 +198,59 @@ func TestSteadyStateTaskDependAllocFree(t *testing.T) {
 			t.Errorf("steady-state depend task spawn+complete: %v allocs/op, want 0", avg)
 		}
 	})
+}
+
+// TestSteadyStateTaskDependAcrossThreadsAllocFree pins the depend path
+// where it crosses threads and regions, as the wavefront does: member 0
+// spawns a 16x16 wavefront of depend-tasks and member 1 runs them from the
+// region-end barrier, so units are spawned on one thread and retired on
+// another (the pool's transfer list carries them back), and every region
+// registers in the implicit task's dephash kept from the last region. The
+// two token arrays alternate, so each region depends on addresses the
+// previous one did not use, without allocating new ones.
+func TestSteadyStateTaskDependAcrossThreadsAllocFree(t *testing.T) {
+	const nb = 16
+	s := icv.Default()
+	s.NumThreads = []int{2}
+	rt := gomp.NewRuntime(s)
+	var toks [2][nb * nb]byte
+	var tok *[nb * nb]byte
+	body := func(*gomp.Thread) {}
+	region := func(th *gomp.Thread) {
+		if th.Num() != 0 {
+			return // run the tasks from the region-end barrier
+		}
+		for bi := 0; bi < nb; bi++ {
+			for bj := 0; bj < nb; bj++ {
+				var opts [3]gomp.TaskOption
+				n := 0
+				if bi > 0 {
+					opts[n] = gomp.DependIn(&tok[(bi-1)*nb+bj])
+					n++
+				}
+				if bj > 0 {
+					opts[n] = gomp.DependIn(&tok[bi*nb+bj-1])
+					n++
+				}
+				opts[n] = gomp.DependInOut(&tok[bi*nb+bj])
+				th.Task(body, opts[:n+1]...)
+			}
+		}
+	}
+	k := 0
+	run := func() {
+		tok = &toks[k&1]
+		k++
+		rt.Parallel(region)
+	}
+	for i := 0; i < 16; i++ {
+		run()
+	}
+	time.Sleep(3 * time.Millisecond)
+	run()
+	if avg := testing.AllocsPerRun(allocRuns, run); avg != 0 {
+		t.Errorf("steady-state 2-thread depend wavefront (%d tasks): %v allocs/region, want 0", nb*nb, avg)
+	}
 }
 
 // TestSteadyStateTaskloopAllocFree pins the loop-form chunk path: bounds

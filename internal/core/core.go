@@ -14,6 +14,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/icv"
@@ -26,6 +27,9 @@ import (
 // runtime; tests construct isolated runtimes freely.
 type Runtime struct {
 	pool *kmp.Pool
+	// spare is a region descriptor left by the last fork to return, for
+	// the next fork to reuse (parallel.go).
+	spare atomic.Pointer[region]
 
 	critMu   sync.Mutex
 	critical map[string]lock.Lock

@@ -44,13 +44,32 @@ func (r *Runtime) parallelFrom(parent *Thread, body func(t *Thread), opts ...Par
 		cfg = applyParOpts(opts)
 	}
 	spec := kmp.ForkSpec{NumThreads: cfg.numThreads, Serial: cfg.hasIf && !cfg.ifClause}
+	g := r.spare.Swap(nil)
+	if g == nil {
+		g = &region{r: r}
+		g.micro = g.run
+	}
+	g.body = body
 	// The forking member's tid keys the per-member nested hot-team cache,
 	// so sibling members forking nested regions concurrently each reuse
 	// their own team.
-	r.pool.ForkFrom(parent.team, parent.tid, spec, func(tm *kmp.Team, tid int) {
-		body(r.threadFor(tm, tid))
-	})
+	r.pool.ForkFrom(parent.team, parent.tid, spec, g.micro)
+	// Every member returned from g.run before the join let ForkFrom
+	// return, so g is free for the next fork.
+	g.body = nil
+	r.spare.Store(g)
 }
+
+// region carries a fork's body to the team's members. Its microtask is a
+// method value bound once, so a fork that reuses a region (Runtime.spare
+// keeps one) builds no closure.
+type region struct {
+	r     *Runtime
+	body  func(t *Thread)
+	micro func(tm *kmp.Team, tid int)
+}
+
+func (g *region) run(tm *kmp.Team, tid int) { g.body(g.r.threadFor(tm, tid)) }
 
 func applyParOpts(opts []ParOption) parConfig {
 	var cfg parConfig
@@ -76,9 +95,16 @@ func (r *Runtime) threadFor(tm *kmp.Team, tid int) *Thread {
 	// Keep the recycled scratch state: the collapsed-loop buffer, the
 	// depend-clause buffer, and the task-execution Thread/group stacks.
 	// Wiping any of them here would reintroduce the per-region allocations
-	// their comments in thread.go promise are amortised away.
+	// their comments in thread.go promise are amortised away. The implicit
+	// task's sentinel is kept too when the last region left it idle on this
+	// team's pool, so its dephash keeps its table and states.
+	root := th.rootTask
+	if root != nil && !tm.Tasks().ReuseRoot(tid, root) {
+		root = nil
+	}
 	*th = Thread{rt: r, team: tm, tid: tid, nestScratch: th.nestScratch,
-		depScratch: th.depScratch, taskCtxs: th.taskCtxs, groups: th.groups}
+		depScratch: th.depScratch, taskCtxs: th.taskCtxs, groups: th.groups,
+		rootTask: root}
 	return th
 }
 

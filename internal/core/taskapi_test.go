@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/task"
 )
 
 func TestTaskRunsByRegionEnd(t *testing.T) {
@@ -416,4 +419,118 @@ func TestSequentialTaskOptionsDegenerate(t *testing.T) {
 	if ran != 11 {
 		t.Errorf("sequential forms ran %d bodies, want 11", ran)
 	}
+}
+
+// inoutChains spawns, from member 0, steps rounds of one task per element
+// of a: task (k, i) reads a[i-1] and updates a[i] with an order-sensitive
+// step, so a dependence the runtime misses shows up as a different value.
+// chainSerial is the same program without tasks.
+func inoutChains(th *Thread, a []int64, steps int) {
+	for k := 0; k < steps; k++ {
+		for i := range a {
+			k, i := k, i
+			opts := []TaskOption{DependInOut(&a[i])}
+			if i > 0 {
+				opts = append(opts, DependIn(&a[i-1]))
+			}
+			th.Task(func(*Thread) { chainStep(a, k, i) }, opts...)
+		}
+	}
+}
+
+func chainStep(a []int64, k, i int) {
+	prev := int64(1)
+	if i > 0 {
+		prev = a[i-1]
+	}
+	a[i] = a[i]*31 + prev*7 + int64(k)
+}
+
+func chainSerial(a []int64, steps int) {
+	for k := 0; k < steps; k++ {
+		for i := range a {
+			chainStep(a, k, i)
+		}
+	}
+}
+
+// TestRootReusedAcrossRegions pins the implicit task's sentinel across
+// regions: consecutive regions of a 2-thread team register inout chains in
+// the same root's dephash, first over one array again and again, then over
+// a freshly allocated one, and every result matches the serial order.
+func TestRootReusedAcrossRegions(t *testing.T) {
+	rt := testRuntime(2)
+	const n, steps = 48, 6
+	a := make([]int64, n)
+	want := make([]int64, n)
+	var roots []*task.Unit
+	region := func(a []int64) {
+		rt.Parallel(func(th *Thread) {
+			if th.Num() == 0 {
+				inoutChains(th, a, steps)
+				roots = append(roots, th.rootTask)
+			}
+		})
+	}
+	for r := 0; r < 4; r++ {
+		region(a)
+		chainSerial(want, steps)
+		if !slices.Equal(a, want) {
+			t.Fatalf("region %d over the same array: got %v, want %v", r, a, want)
+		}
+	}
+	for r := 0; r < 4; r++ {
+		a = make([]int64, n)
+		region(a)
+		want = make([]int64, n)
+		chainSerial(want, steps)
+		if !slices.Equal(a, want) {
+			t.Fatalf("region %d over a fresh array: got %v, want %v", r, a, want)
+		}
+	}
+	for r, root := range roots {
+		if root != roots[0] {
+			t.Fatalf("region %d made a new implicit-task root; want the first region's kept", r)
+		}
+	}
+}
+
+// TestRootWithLiveChildrenReplaced: a root that still has a live child when
+// the next region starts (here a child queued between regions, the state a
+// task that never finished leaves behind) is not reused; the region gets a
+// fresh root and the stale child still runs at that region's barrier.
+func TestRootWithLiveChildrenReplaced(t *testing.T) {
+	rt := testRuntime(2)
+	var th0 *Thread
+	var x int64
+	rt.Parallel(func(th *Thread) {
+		if th.Num() == 0 {
+			th0 = th
+			th.Task(func(*Thread) { x++ }, DependInOut(&x))
+		}
+	})
+	old := th0.rootTask
+	var stale atomic.Bool
+	th0.team.Tasks().Spawn(0, old, nil, func(*task.Unit) { stale.Store(true) })
+	rt.Parallel(func(th *Thread) {
+		if th.Num() == 0 {
+			if th.rootTask == old {
+				t.Error("root with a live child was reused")
+			}
+			th.Task(func(*Thread) { x++ }, DependInOut(&x))
+			th.Taskwait()
+		}
+	})
+	if !stale.Load() {
+		t.Error("the stale child did not run at the region's barrier")
+	}
+	if x != 2 {
+		t.Errorf("x = %d, want 2", x)
+	}
+	fresh := th0.rootTask
+	rt.Parallel(func(th *Thread) {
+		if th.Num() == 0 && th.rootTask != fresh {
+			t.Error("idle root of the last region was not reused")
+		}
+	})
 }

@@ -26,7 +26,8 @@ type Thread struct {
 	// curTask is the innermost explicit task being executed, nil inside
 	// the implicit task; taskwait waits on its children.
 	curTask *task.Unit
-	// rootTask is the implicit task's sentinel parent, created lazily.
+	// rootTask is the implicit task's sentinel parent, created lazily and
+	// kept across regions while it is idle (threadFor).
 	rootTask *task.Unit
 	// curGroup is the innermost enclosing taskgroup, if any.
 	curGroup *task.Group

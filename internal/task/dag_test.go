@@ -98,7 +98,12 @@ func runDAG(t *testing.T, p *Pool, specs []dagSpec, threads int) (start, end []i
 	if p == nil {
 		p = NewPool(threads)
 	}
-	root := NewRoot(p)
+	return runDAGUnder(t, p, NewRoot(p), specs, threads)
+}
+
+// runDAGUnder is runDAG with the tasks spawned as children of root.
+func runDAGUnder(t *testing.T, p *Pool, root *Unit, specs []dagSpec, threads int) (start, end []int64) {
+	t.Helper()
 	start = make([]int64, len(specs))
 	end = make([]int64, len(specs))
 	var clock atomic.Int64
@@ -227,6 +232,88 @@ func TestTaskDAGReuseStorm(t *testing.T) {
 				t.Fatalf("outstanding %d after final generation", got)
 			}
 		})
+	}
+}
+
+// TestTaskDAGReuseStormAcrossRegions is the reuse storm as a 2-thread team
+// meets it region after region: thread 0 spawns every generation under one
+// implicit-task root that ReuseRoot hands back between generations, and
+// thread 1 retires much of the work, so units travel back to the spawner
+// through the transfer list and each generation registers in the dephash
+// the previous one left drained.
+func TestTaskDAGReuseStormAcrossRegions(t *testing.T) {
+	gens := 40
+	if testing.Short() {
+		gens = 10
+	}
+	p := NewPool(2)
+	root := NewRoot(p)
+	for gen := 0; gen < gens; gen++ {
+		if !p.ReuseRoot(0, root) {
+			t.Fatalf("gen %d: idle root refused", gen)
+		}
+		rnd := rand.New(rand.NewSource(int64(gen)*104729 + 2))
+		specs := genDAG(rnd, 200+rnd.Intn(400), 1+rnd.Intn(12))
+		start, end := runDAGUnder(t, p, root, specs, 2)
+		checkDAG(t, specs, start, end, fmt.Sprintf("region %d", gen))
+	}
+	if got := p.Outstanding(); got != 0 {
+		t.Fatalf("outstanding %d after final region", got)
+	}
+}
+
+// TestUnitsReturnToSpawner: tasks spawned on thread 0 and retired on thread
+// 1 come back to thread 0 through the transfer list, so a steady
+// producer/consumer cycle allocates no Units.
+func TestUnitsReturnToSpawner(t *testing.T) {
+	p := NewPool(2)
+	root := NewRoot(p)
+	fn := func(*Unit) {}
+	cycle := func() {
+		for i := 0; i < 200; i++ {
+			p.Spawn(0, root, nil, fn)
+		}
+		for p.RunOne(1) {
+		}
+	}
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+		t.Errorf("spawn on thread 0, retire on thread 1: %v allocs per 200 tasks, want 0", avg)
+	}
+}
+
+// TestReuseRootRefuses: a root whose child's body panicked keeps that child
+// live forever and must not be reused, nor may a root of another pool; an
+// idle root is reused with its dephash drained.
+func TestReuseRootRefuses(t *testing.T) {
+	p := NewPool(1)
+	root := NewRoot(p)
+	deps := []Dep{{Addr: 1, Kind: DepInOut}}
+	p.SpawnOpt(0, root, nil, SpawnOpts{Deps: deps}, func(*Unit) { panic("task body") })
+	func() {
+		defer func() { _ = recover() }()
+		p.RunOne(0)
+	}()
+	if p.ReuseRoot(0, root) {
+		t.Fatal("root with a child that never finished was reused")
+	}
+	if root.depmap.used != 1 {
+		t.Fatalf("refused root's dephash holds %d addresses, want 1 (untouched)", root.depmap.used)
+	}
+	q := NewPool(1)
+	if q.ReuseRoot(0, NewRoot(p)) {
+		t.Fatal("root of another pool was reused")
+	}
+	idle := NewRoot(q)
+	q.SpawnOpt(0, idle, nil, SpawnOpts{Deps: deps}, func(*Unit) {})
+	q.Quiesce(0)
+	if !q.ReuseRoot(0, idle) {
+		t.Fatal("idle root refused")
+	}
+	if idle.depmap.used != 0 {
+		t.Fatalf("reused root's dephash holds %d addresses, want 0", idle.depmap.used)
 	}
 }
 

@@ -161,14 +161,16 @@ type depNode struct {
 
 // addSuccessor records that s must wait for the incarnation of pred. It
 // adds no edge when that incarnation has already completed (epoch moved
-// on). The successor's predecessor count is raised before pred's lock is
-// taken so a completing pred can never drive it negative; if pred turns out
-// to be done the increment is rolled back, which cannot release s because
-// the caller still holds s's registration guard.
+// on); a mismatch seen before locking already proves that, since epochs
+// only move forward, so a retired predecessor costs one load. The
+// successor's predecessor count is raised before pred's lock is taken so a
+// completing pred can never drive it negative; if pred turns out to be done
+// the increment is rolled back, which cannot release s because the caller
+// still holds s's registration guard.
 func addSuccessor(pred depRef, s *Unit) {
 	u := pred.u
-	if u == s {
-		return // in+out on the same address within one task is not a self-edge
+	if u == s || u.epoch.Load() != pred.epoch {
+		return // not a self-edge (in+out on one address), nor a finished pred
 	}
 	s.dep.npred.Add(1)
 	u.dep.mu.Lock()

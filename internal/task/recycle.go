@@ -1,12 +1,25 @@
 package task
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // Per-thread free lists recycling Units and dephash states — the analog of
 // libomp's fast task allocator (kmp_tasking's per-thread task free lists).
 // Each cache belongs to exactly one pool thread: only thread tid pushes to
 // or pops from caches[tid], so no lock is needed. A Unit freed by whichever
-// thread retired it is recycled by that thread; units migrate between
-// caches exactly as often as tasks migrate between threads, which is the
-// work-stealing steady state anyway.
+// thread retired it goes to that thread's cache first.
+//
+// Units do not stay where they retire. When one thread spawns and another
+// retires (a producer/consumer region such as the wavefront, whose master
+// spawns every task and whose other members run them from the barrier),
+// the spawner's list runs dry and the retirer's only grows. So a list that
+// grows past 2*xferBatch hands xferBatch units to the pool's transfer list,
+// and a thread whose list is empty takes a batch from there before it falls
+// back to new(Unit) — libomp returns blocks freed by another thread to
+// their owner the same way (___kmp_fast_free). An atomic count gates the
+// empty-list check, so the common path takes no lock.
 //
 // Reclamation safety rests on the epoch counter. A Unit's epoch is even
 // while the incarnation is live and odd once it is retired; both retiring
@@ -21,12 +34,27 @@ package task
 //     retired under that same mu (in releaseSuccessors), so "epoch still
 //     matches" and "successor list still live" are one atomic fact.
 //
-// Allocation falls back to new(Unit) whenever a cache is empty, so
-// correctness never depends on recycling; caches are capped so a burst of
-// a million tasks does not pin a million Units forever.
+// Allocation falls back to new(Unit) whenever both lists are empty, so
+// correctness never depends on recycling; the lists are capped so a burst
+// of a million tasks does not pin a million Units forever.
 
-// maxFree caps each per-thread free list; overflow is dropped to the GC.
+// maxFree caps each per-thread depState list and the transfer list;
+// overflow is dropped to the GC. A thread's unit list never gets near it:
+// past 2*xferBatch it hands a batch to the transfer list.
 const maxFree = 1 << 14
+
+// xferBatch is the number of units moved to or from the transfer list at a
+// time.
+const xferBatch = 512
+
+// xferList is the pool's transfer list: units that retired on a thread with
+// a full list, waiting for a thread whose list ran dry. n mirrors
+// len(units) so an empty list is seen without the lock.
+type xferList struct {
+	n     atomic.Int64
+	mu    sync.Mutex
+	units []*Unit
+}
 
 // unitCache is one thread's free lists, padded so neighbouring threads'
 // caches do not share a cache line.
@@ -41,6 +69,9 @@ type unitCache struct {
 // caller fills in the spawn-time state.
 func (p *Pool) allocUnit(tid int) *Unit {
 	c := &p.caches[tid]
+	if len(c.free) == 0 && p.xfer.n.Load() > 0 {
+		p.xfer.take(c)
+	}
 	if n := len(c.free); n > 0 {
 		u := c.free[n-1]
 		c.free[n-1] = nil
@@ -75,9 +106,37 @@ func (p *Pool) free(tid int, u *Unit) {
 		p.recycleMap(tid, u.depmap)
 	}
 	c := &p.caches[tid]
-	if len(c.free) < maxFree {
-		c.free = append(c.free, u)
+	c.free = append(c.free, u)
+	if len(c.free) > 2*xferBatch {
+		p.xfer.give(c)
 	}
+}
+
+// give moves xferBatch units from the top of c's free list to the transfer
+// list, or drops them to the GC when the transfer list is full.
+func (x *xferList) give(c *unitCache) {
+	n := len(c.free)
+	batch := c.free[n-xferBatch:]
+	x.mu.Lock()
+	if len(x.units) < maxFree {
+		x.units = append(x.units, batch...)
+		x.n.Store(int64(len(x.units)))
+	}
+	x.mu.Unlock()
+	clear(batch)
+	c.free = c.free[:n-xferBatch]
+}
+
+// take moves up to xferBatch units from the transfer list to c's free list.
+func (x *xferList) take(c *unitCache) {
+	x.mu.Lock()
+	n := len(x.units)
+	batch := x.units[max(n-xferBatch, 0):]
+	c.free = append(c.free, batch...)
+	clear(batch)
+	x.units = x.units[:n-len(batch)]
+	x.n.Store(int64(len(x.units)))
+	x.mu.Unlock()
 }
 
 // allocState returns a depState for thread tid's dephash registration.

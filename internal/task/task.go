@@ -12,11 +12,15 @@
 // taskwait, taskgroup end, taskyield, and team barriers — exactly the
 // points the OpenMP spec designates.
 //
-// The spawn/complete hot path is allocation-free in steady state: Units and
-// dephash states are recycled through per-thread free lists with an epoch
-// protocol proving no use-after-recycle (recycle.go), and a completing
-// dependent task publishes all of its newly-ready successors with a single
-// counter update, keeping one for itself to run inline (dep.go).
+// The spawn/complete hot path is allocation-free in steady state, also when
+// one thread spawns and another retires: Units and dephash states are
+// recycled through per-thread free lists with an epoch protocol proving no
+// use-after-recycle, and the units that pile up on a thread that retires
+// more than it spawns go back to the spawner through the pool's transfer
+// list (recycle.go). An implicit task's root keeps its dephash from region to
+// region (ReuseRoot). A completing dependent task publishes all of its
+// newly-ready successors with a single counter update, keeping one for
+// itself to run inline (dep.go).
 //
 // Tasks form a tree: every task records its parent, and a parent's taskwait
 // drains until its live-children count hits zero. Taskgroups count all
@@ -127,6 +131,22 @@ func NewRoot(pool *Pool) *Unit {
 	return u
 }
 
+// ReuseRoot readies root, an implicit task's sentinel from an earlier
+// region, for another region run by thread tid: it drains root's dephash
+// into tid's free lists and keeps the table, so a region's depend-tasks do
+// not regrow it. It reports false, leaving root untouched, when root
+// belongs to another pool or still has live children (a child whose body
+// panicked never lets go); the caller then makes a fresh one with NewRoot.
+func (p *Pool) ReuseRoot(tid int, root *Unit) bool {
+	if root.pool != p || root.life.Load() != 1 {
+		return false
+	}
+	if root.depmap != nil {
+		p.recycleMap(tid, root.depmap)
+	}
+	return true
+}
+
 // PrioLevels is the number of distinct priority buckets; priorities at or
 // above PrioLevels-1 share the top bucket (the spec makes priority a hint,
 // not a total order).
@@ -139,6 +159,7 @@ type Pool struct {
 	owner       any
 	deques      []deque
 	caches      []unitCache
+	xfer        xferList
 	prio        prioQueue
 	outstanding atomic.Int64 // spawned (incl. dependency-blocked) + executing tasks
 	queued      atomic.Int64 // tasks sitting in a deque or priority bucket
