@@ -154,7 +154,13 @@ func (p *Pool) allocState(tid int) *depState {
 // recycleMap drains a completed parent's dephash into tid's depState free
 // list and resets the table for the next incarnation. Safe because only the
 // parent task registers in its own dephash and the parent has completed.
+// The table keeps its size, so a table that registered nothing since its
+// last drain is skipped rather than scanned: a kept root whose regions
+// spawn no depend-tasks must not sweep a wavefront-sized table each time.
 func (p *Pool) recycleMap(tid int, m *depMap) {
+	if m.used == 0 {
+		return
+	}
 	c := &p.caches[tid]
 	for i := range m.slots {
 		s := &m.slots[i]
