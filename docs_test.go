@@ -140,8 +140,8 @@ func TestREADMEAndDESIGNNameOnlyPathsThatExist(t *testing.T) {
 func TestREADMEReductionOps(t *testing.T) {
 	md := readme(t)
 	for _, op := range []string{"+", "-", "*", "max", "min", "&", "^"} {
-		d, err := directive.Parse(fmt.Sprintf("for reduction(%s:x)", op))
-		if err != nil || len(d.Reductions()) != 1 {
+		d, diags := directive.ParseAt(fmt.Sprintf("for reduction(%s:x)", op), directive.Pos{})
+		if err := diags.Err(); err != nil || len(d.Reductions()) != 1 {
 			t.Fatalf("parser rejected reduction op %q: %v", op, err)
 		}
 		if !strings.Contains(md, op) {

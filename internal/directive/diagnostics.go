@@ -73,39 +73,17 @@ const (
 	DiagSema
 )
 
-// String names the kind for logs and tests.
-func (k DiagKind) String() string {
-	switch k {
-	case DiagSyntax:
-		return "syntax"
-	case DiagUnknownConstruct:
-		return "unknown-construct"
-	case DiagUnknownClause:
-		return "unknown-clause"
-	case DiagBadClauseArg:
-		return "bad-clause-arg"
-	case DiagClauseNotAllowed:
-		return "clause-not-allowed"
-	case DiagDuplicateClause:
-		return "duplicate-clause"
-	case DiagConflictingClauses:
-		return "conflicting-clauses"
-	case DiagUnsupported:
-		return "unsupported"
-	case DiagNoStatement:
-		return "no-statement"
-	case DiagBadNesting:
-		return "bad-nesting"
-	case DiagBadLoop:
-		return "bad-loop"
-	case DiagInternal:
-		return "internal"
-	case DiagSema:
-		return "sema"
-	default:
-		return "invalid"
-	}
+// diagKinds spells the kinds, indexed by value.
+var diagKinds = []string{
+	DiagSyntax: "syntax", DiagUnknownConstruct: "unknown-construct", DiagUnknownClause: "unknown-clause",
+	DiagBadClauseArg: "bad-clause-arg", DiagClauseNotAllowed: "clause-not-allowed",
+	DiagDuplicateClause: "duplicate-clause", DiagConflictingClauses: "conflicting-clauses",
+	DiagUnsupported: "unsupported", DiagNoStatement: "no-statement", DiagBadNesting: "bad-nesting",
+	DiagBadLoop: "bad-loop", DiagInternal: "internal", DiagSema: "sema",
 }
+
+// String names the kind for logs and tests.
+func (k DiagKind) String() string { return spelling(diagKinds, int(k), "invalid") }
 
 // Pos locates the first byte of a directive body within its source file,
 // both 1-based like token.Position. The zero Pos means "position unknown"

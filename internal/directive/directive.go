@@ -18,278 +18,99 @@ import (
 	"strings"
 )
 
-// Construct is the directive's construct kind.
+// Construct is the directive's construct kind. The construct table holds
+// each one's spelling, whether it is standalone and its valid clauses.
 type Construct int
 
+// The constructs; ConstructInvalid is the zero value.
 const (
-	// ConstructInvalid is the zero value.
 	ConstructInvalid Construct = iota
-	// ConstructParallel is `omp parallel`.
 	ConstructParallel
-	// ConstructFor is `omp for`.
 	ConstructFor
-	// ConstructParallelFor is the combined `omp parallel for`.
 	ConstructParallelFor
-	// ConstructSections is `omp sections`.
 	ConstructSections
-	// ConstructParallelSections is the combined `omp parallel sections`.
 	ConstructParallelSections
-	// ConstructSection is `omp section` (inside sections).
 	ConstructSection
-	// ConstructSingle is `omp single`.
 	ConstructSingle
-	// ConstructMaster is `omp master` (5.1: masked).
 	ConstructMaster
-	// ConstructCritical is `omp critical [(name)]`.
 	ConstructCritical
-	// ConstructBarrier is the standalone `omp barrier`.
 	ConstructBarrier
-	// ConstructAtomic is `omp atomic`.
 	ConstructAtomic
-	// ConstructOrdered is `omp ordered` (inside a for ordered loop).
 	ConstructOrdered
-	// ConstructTask is `omp task`.
 	ConstructTask
-	// ConstructTaskwait is the standalone `omp taskwait`.
 	ConstructTaskwait
-	// ConstructTaskgroup is `omp taskgroup`.
 	ConstructTaskgroup
-	// ConstructTaskloop is `omp taskloop`.
 	ConstructTaskloop
-	// ConstructFlush is the standalone `omp flush` (a no-op under the Go
-	// memory model once the runtime synchronises, but accepted).
 	ConstructFlush
-	// ConstructCancel is `omp cancel <construct-type>`.
 	ConstructCancel
-	// ConstructCancellationPoint is `omp cancellation point <type>`.
 	ConstructCancellationPoint
-	// ConstructTaskyield is the standalone `omp taskyield`.
 	ConstructTaskyield
-	// ConstructTarget is `omp target`: run the associated block on a device.
 	ConstructTarget
-	// ConstructTargetData is `omp target data`: a structured device data
-	// environment around the associated block.
 	ConstructTargetData
-	// ConstructTargetEnterData is the standalone `omp target enter data`.
 	ConstructTargetEnterData
-	// ConstructTargetExitData is the standalone `omp target exit data`.
 	ConstructTargetExitData
-	// ConstructTargetUpdate is the standalone `omp target update`.
 	ConstructTargetUpdate
-	// ConstructTargetTeamsDistributeParallelFor is the combined
-	// `omp target teams distribute parallel for`: offload a loop nest,
-	// workshared across a league of teams each forking a parallel region.
 	ConstructTargetTeamsDistributeParallelFor
 )
 
 // String returns the directive spelling.
 func (c Construct) String() string {
-	switch c {
-	case ConstructParallel:
-		return "parallel"
-	case ConstructFor:
-		return "for"
-	case ConstructParallelFor:
-		return "parallel for"
-	case ConstructSections:
-		return "sections"
-	case ConstructParallelSections:
-		return "parallel sections"
-	case ConstructSection:
-		return "section"
-	case ConstructSingle:
-		return "single"
-	case ConstructMaster:
-		return "master"
-	case ConstructCritical:
-		return "critical"
-	case ConstructBarrier:
-		return "barrier"
-	case ConstructAtomic:
-		return "atomic"
-	case ConstructOrdered:
-		return "ordered"
-	case ConstructTask:
-		return "task"
-	case ConstructTaskwait:
-		return "taskwait"
-	case ConstructTaskgroup:
-		return "taskgroup"
-	case ConstructTaskloop:
-		return "taskloop"
-	case ConstructFlush:
-		return "flush"
-	case ConstructCancel:
-		return "cancel"
-	case ConstructCancellationPoint:
-		return "cancellation point"
-	case ConstructTaskyield:
-		return "taskyield"
-	case ConstructTarget:
-		return "target"
-	case ConstructTargetData:
-		return "target data"
-	case ConstructTargetEnterData:
-		return "target enter data"
-	case ConstructTargetExitData:
-		return "target exit data"
-	case ConstructTargetUpdate:
-		return "target update"
-	case ConstructTargetTeamsDistributeParallelFor:
-		return "target teams distribute parallel for"
-	default:
-		return "invalid"
+	if r := constructRowOf(c); r != nil {
+		return r.spelling
 	}
+	return "invalid"
 }
 
 // IsStandalone reports whether the construct has no associated statement.
 func (c Construct) IsStandalone() bool {
-	switch c {
-	case ConstructBarrier, ConstructTaskwait, ConstructFlush,
-		ConstructCancel, ConstructCancellationPoint, ConstructTaskyield,
-		ConstructTargetEnterData, ConstructTargetExitData, ConstructTargetUpdate:
-		return true
-	}
-	return false
+	r := constructRowOf(c)
+	return r != nil && r.standalone
 }
 
-// HasParallel reports whether the construct forks a team (so the lowered
-// code introduces a thread context).
-func (c Construct) HasParallel() bool {
-	return c == ConstructParallel || c == ConstructParallelFor || c == ConstructParallelSections
-}
-
-// ClauseKind identifies a clause.
+// ClauseKind identifies a clause. The clause table holds each one's name,
+// argument shape and whether it may repeat.
 type ClauseKind int
 
+// The clauses; ClauseInvalid is the zero value.
 const (
-	// ClauseInvalid is the zero value.
 	ClauseInvalid ClauseKind = iota
-	// ClausePrivate is private(list).
 	ClausePrivate
-	// ClauseFirstprivate is firstprivate(list).
 	ClauseFirstprivate
-	// ClauseLastprivate is lastprivate(list).
 	ClauseLastprivate
-	// ClauseShared is shared(list).
 	ClauseShared
-	// ClauseCopyprivate is copyprivate(list), on single.
 	ClauseCopyprivate
-	// ClauseDefault is default(shared|none).
 	ClauseDefault
-	// ClauseReduction is reduction(op:list).
 	ClauseReduction
-	// ClauseSchedule is schedule(kind[,chunk]).
 	ClauseSchedule
-	// ClauseNumThreads is num_threads(expr).
 	ClauseNumThreads
-	// ClauseIf is if(expr).
 	ClauseIf
-	// ClauseCollapse is collapse(n).
 	ClauseCollapse
-	// ClauseNowait is nowait.
 	ClauseNowait
-	// ClauseOrdered is the ordered clause on a loop.
 	ClauseOrdered
-	// ClauseProcBind is proc_bind(kind).
 	ClauseProcBind
-	// ClauseGrainsize is grainsize(expr), on taskloop.
 	ClauseGrainsize
-	// ClauseUntied is untied, on task (accepted; tasks are untied here).
 	ClauseUntied
-	// ClauseName is the parenthesised name on critical, or the
-	// construct-type word on cancel / cancellation point.
 	ClauseName
-	// ClauseDepend is depend(in|out|inout: list), on task.
 	ClauseDepend
-	// ClausePriority is priority(expr), on task and taskloop.
 	ClausePriority
-	// ClauseFinal is final(expr), on task and taskloop.
 	ClauseFinal
-	// ClauseNumTasks is num_tasks(expr), on taskloop.
 	ClauseNumTasks
-	// ClauseNogroup is nogroup, on taskloop.
 	ClauseNogroup
-	// ClauseMap is map([map-type:] list), on the target constructs.
 	ClauseMap
-	// ClauseDevice is device(expr), on the target constructs.
 	ClauseDevice
-	// ClauseNumTeams is num_teams(expr), on target teams.
 	ClauseNumTeams
-	// ClauseThreadLimit is thread_limit(expr), on target teams.
 	ClauseThreadLimit
-	// ClauseIsDevicePtr is is_device_ptr(list), on target.
 	ClauseIsDevicePtr
-	// ClauseTo is to(list), on target update.
 	ClauseTo
-	// ClauseFrom is from(list), on target update.
 	ClauseFrom
 )
 
 // String returns the clause spelling.
 func (k ClauseKind) String() string {
-	switch k {
-	case ClausePrivate:
-		return "private"
-	case ClauseFirstprivate:
-		return "firstprivate"
-	case ClauseLastprivate:
-		return "lastprivate"
-	case ClauseShared:
-		return "shared"
-	case ClauseCopyprivate:
-		return "copyprivate"
-	case ClauseDefault:
-		return "default"
-	case ClauseReduction:
-		return "reduction"
-	case ClauseSchedule:
-		return "schedule"
-	case ClauseNumThreads:
-		return "num_threads"
-	case ClauseIf:
-		return "if"
-	case ClauseCollapse:
-		return "collapse"
-	case ClauseNowait:
-		return "nowait"
-	case ClauseOrdered:
-		return "ordered"
-	case ClauseProcBind:
-		return "proc_bind"
-	case ClauseGrainsize:
-		return "grainsize"
-	case ClauseUntied:
-		return "untied"
-	case ClauseName:
-		return "name"
-	case ClauseDepend:
-		return "depend"
-	case ClausePriority:
-		return "priority"
-	case ClauseFinal:
-		return "final"
-	case ClauseNumTasks:
-		return "num_tasks"
-	case ClauseNogroup:
-		return "nogroup"
-	case ClauseMap:
-		return "map"
-	case ClauseDevice:
-		return "device"
-	case ClauseNumTeams:
-		return "num_teams"
-	case ClauseThreadLimit:
-		return "thread_limit"
-	case ClauseIsDevicePtr:
-		return "is_device_ptr"
-	case ClauseTo:
-		return "to"
-	case ClauseFrom:
-		return "from"
-	default:
-		return "invalid"
+	if r := clauseRowOf(k); r != nil {
+		return r.name
 	}
+	return "invalid"
 }
 
 // ScheduleKind is the schedule clause's iteration-distribution policy.
@@ -309,55 +130,22 @@ const (
 )
 
 // String returns the clause spelling of the schedule kind.
-func (k ScheduleKind) String() string {
-	switch k {
-	case SchedStatic:
-		return "static"
-	case SchedDynamic:
-		return "dynamic"
-	case SchedGuided:
-		return "guided"
-	case SchedAuto:
-		return "auto"
-	case SchedRuntime:
-		return "runtime"
-	default:
-		return "invalid"
-	}
-}
+func (k ScheduleKind) String() string { return spelling(scheduleKinds, int(k), "invalid") }
 
 // DefaultMode is the argument of the default clause.
 type DefaultMode int
 
 const (
-	// DefaultShared is default(shared).
 	DefaultShared DefaultMode = iota
-	// DefaultNone is default(none).
 	DefaultNone
 )
 
 // String returns the clause spelling of the mode.
-func (m DefaultMode) String() string {
-	if m == DefaultNone {
-		return "none"
-	}
-	return "shared"
-}
+func (m DefaultMode) String() string { return spelling(defaultModes, int(m), "shared") }
 
-// Clause is one parsed clause node. Each clause kind has its own concrete
-// type carrying exactly its payload:
-//
-//	DataSharingClause  private/firstprivate/lastprivate/shared/copyprivate
-//	ReductionClause    reduction(op:list)
-//	ScheduleClause     schedule(kind[,chunk])
-//	ExprClause         if/num_threads/grainsize (opaque expression text)
-//	CollapseClause     collapse(n)
-//	FlagClause         nowait/ordered/untied (no payload)
-//	NameClause         critical name / cancel construct-type
-//	DefaultClause      default(shared|none)
-//	ProcBindClause     proc_bind(kind)
-//
-// Consumers normally reach clauses through the typed accessors on Directive
+// Clause is one parsed clause node. Each argument shape of the clause table
+// builds its own concrete type carrying exactly its payload. Consumers
+// normally reach clauses through the typed accessors on Directive
 // (Schedule, Reductions, Vars, Expr, ...) rather than type-switching.
 type Clause interface {
 	// ClauseKind identifies the clause.
@@ -400,9 +188,8 @@ func (s Symbol) String() string {
 	return out
 }
 
-// DataSharingClause is a data-environment clause: Kind is one of
-// ClausePrivate, ClauseFirstprivate, ClauseLastprivate, ClauseShared or
-// ClauseCopyprivate, and Vars is its variable list.
+// DataSharingClause is a clause of the list shape (the data-sharing clauses
+// and is_device_ptr): Kind names it and Vars is its variable list.
 type DataSharingClause struct {
 	span
 	Kind ClauseKind
@@ -452,16 +239,7 @@ const (
 )
 
 // String returns the clause spelling of the modifier ("" for none).
-func (m ScheduleModifier) String() string {
-	switch m {
-	case ModifierMonotonic:
-		return "monotonic"
-	case ModifierNonmonotonic:
-		return "nonmonotonic"
-	default:
-		return ""
-	}
-}
+func (m ScheduleModifier) String() string { return spelling(scheduleModifiers, int(m), "") }
 
 // ScheduleClause is schedule([Modifier:]Kind[,Chunk]); Chunk is the raw
 // chunk expression text, empty when unspecified.
@@ -487,9 +265,8 @@ func (c *ScheduleClause) String() string {
 	return fmt.Sprintf("schedule(%s)", kind)
 }
 
-// ExprClause carries an opaque expression: Kind is ClauseIf,
-// ClauseNumThreads or ClauseGrainsize and Text is the expression source
-// (the preprocessor runs before type checking, so expressions stay text).
+// ExprClause is a clause of the expression shape: Text is the expression
+// source (the preprocessor runs before type checking, so it stays text).
 type ExprClause struct {
 	span
 	Kind ClauseKind
@@ -535,8 +312,7 @@ func (c *OrderedClause) String() string {
 	return "ordered"
 }
 
-// FlagClause is a payloadless clause: ClauseNowait, ClauseOrdered or
-// ClauseUntied.
+// FlagClause is a clause of the flag shape, which has no payload.
 type FlagClause struct {
 	span
 	Kind ClauseKind
@@ -592,11 +368,9 @@ func (c *ProcBindClause) String() string { return fmt.Sprintf("proc_bind(%s)", c
 type DepMode int
 
 const (
-	// DependIn is depend(in: list).
+	// DependIn, DependOut and DependInOut are the task dependence types.
 	DependIn DepMode = iota
-	// DependOut is depend(out: list).
 	DependOut
-	// DependInOut is depend(inout: list).
 	DependInOut
 	// DependSink is depend(sink: vec) on the standalone ordered directive:
 	// wait for the doacross iteration the vector names. The list is one
@@ -608,20 +382,7 @@ const (
 )
 
 // String returns the clause spelling of the mode.
-func (m DepMode) String() string {
-	switch m {
-	case DependOut:
-		return "out"
-	case DependInOut:
-		return "inout"
-	case DependSink:
-		return "sink"
-	case DependSource:
-		return "source"
-	default:
-		return "in"
-	}
-}
+func (m DepMode) String() string { return spelling(depModes, int(m), "in") }
 
 // IsDoacross reports whether the mode is one of the doacross dependence
 // types (sink/source), legal only on the standalone ordered directive.
@@ -673,22 +434,7 @@ const (
 )
 
 // String returns the map-type spelling.
-func (t MapType) String() string {
-	switch t {
-	case MapTo:
-		return "to"
-	case MapFrom:
-		return "from"
-	case MapAlloc:
-		return "alloc"
-	case MapRelease:
-		return "release"
-	case MapDelete:
-		return "delete"
-	default:
-		return "tofrom"
-	}
-}
+func (t MapType) String() string { return spelling(mapTypes, int(t), "tofrom") }
 
 // IsEnterType reports whether the map-type is legal on target enter data.
 func (t MapType) IsEnterType() bool { return t == MapTo || t == MapAlloc }
@@ -738,7 +484,7 @@ type Directive struct {
 	// Text is the original directive text (after the omp sentinel).
 	Text string
 	// Pos is the source position of the directive body's first byte; the
-	// zero Pos when parsed without file context (plain Parse).
+	// zero Pos when parsed without file context.
 	Pos Pos
 }
 
@@ -752,19 +498,8 @@ func (d *Directive) Find(k ClauseKind) (Clause, bool) {
 	return nil, false
 }
 
-// All returns every clause of kind k (data-sharing clauses may repeat).
-func (d *Directive) All(k ClauseKind) []Clause {
-	var out []Clause
-	for _, c := range d.Clauses {
-		if c.ClauseKind() == k {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Has reports whether a clause of kind k is present (the accessor for the
-// flag clauses nowait, ordered and untied).
+// flag clauses).
 func (d *Directive) Has(k ClauseKind) bool {
 	_, ok := d.Find(k)
 	return ok
@@ -778,22 +513,25 @@ func (d *Directive) Schedule() (*ScheduleClause, bool) {
 	return nil, false
 }
 
-// Reductions returns every reduction clause in source order.
-func (d *Directive) Reductions() []*ReductionClause {
-	var out []*ReductionClause
+// clausesOf returns every clause of concrete type T in source order.
+func clausesOf[T Clause](d *Directive) []T {
+	var out []T
 	for _, c := range d.Clauses {
-		if r, ok := c.(*ReductionClause); ok {
-			out = append(out, r)
+		if t, ok := c.(T); ok {
+			out = append(out, t)
 		}
 	}
 	return out
 }
 
+// Reductions returns every reduction clause in source order.
+func (d *Directive) Reductions() []*ReductionClause { return clausesOf[*ReductionClause](d) }
+
 // DataSharing returns every data-sharing clause of kind k in source order.
 func (d *Directive) DataSharing(k ClauseKind) []*DataSharingClause {
 	var out []*DataSharingClause
-	for _, c := range d.Clauses {
-		if ds, ok := c.(*DataSharingClause); ok && ds.Kind == k {
+	for _, ds := range clausesOf[*DataSharingClause](d) {
+		if ds.Kind == k {
 			out = append(out, ds)
 		}
 	}
@@ -801,38 +539,14 @@ func (d *Directive) DataSharing(k ClauseKind) []*DataSharingClause {
 }
 
 // Depends returns every depend clause in source order.
-func (d *Directive) Depends() []*DependClause {
-	var out []*DependClause
-	for _, c := range d.Clauses {
-		if dc, ok := c.(*DependClause); ok {
-			out = append(out, dc)
-		}
-	}
-	return out
-}
+func (d *Directive) Depends() []*DependClause { return clausesOf[*DependClause](d) }
 
 // Maps returns every map clause in source order.
-func (d *Directive) Maps() []*MapClause {
-	var out []*MapClause
-	for _, c := range d.Clauses {
-		if mc, ok := c.(*MapClause); ok {
-			out = append(out, mc)
-		}
-	}
-	return out
-}
+func (d *Directive) Maps() []*MapClause { return clausesOf[*MapClause](d) }
 
 // Motions returns every to/from motion clause (target update) in source
 // order.
-func (d *Directive) Motions() []*MotionClause {
-	var out []*MotionClause
-	for _, c := range d.Clauses {
-		if mc, ok := c.(*MotionClause); ok {
-			out = append(out, mc)
-		}
-	}
-	return out
-}
+func (d *Directive) Motions() []*MotionClause { return clausesOf[*MotionClause](d) }
 
 // Vars flattens the variable lists of every data-sharing clause of kind k,
 // in source order — the shape the lowering consumes.
@@ -844,7 +558,7 @@ func (d *Directive) Vars(k ClauseKind) []string {
 	return out
 }
 
-// Expr returns the expression text of an if/num_threads/grainsize clause.
+// Expr returns the expression text of a clause of the expression shape.
 func (d *Directive) Expr(k ClauseKind) (string, bool) {
 	if c, ok := d.Find(k); ok {
 		if e, ok := c.(*ExprClause); ok {
@@ -890,22 +604,6 @@ func (d *Directive) Collapse() (int, bool) {
 func (d *Directive) Name() (string, bool) {
 	if c, ok := d.Find(ClauseName); ok {
 		return c.(*NameClause).Name, true
-	}
-	return "", false
-}
-
-// Default returns the default clause's mode, if present.
-func (d *Directive) Default() (DefaultMode, bool) {
-	if c, ok := d.Find(ClauseDefault); ok {
-		return c.(*DefaultClause).Mode, true
-	}
-	return DefaultShared, false
-}
-
-// ProcBind returns the proc_bind policy, if present.
-func (d *Directive) ProcBind() (string, bool) {
-	if c, ok := d.Find(ClauseProcBind); ok {
-		return c.(*ProcBindClause).Policy, true
 	}
 	return "", false
 }

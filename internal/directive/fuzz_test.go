@@ -59,8 +59,8 @@ func FuzzParse(f *testing.F) {
 		// Accepted directives render canonically and re-parse to the
 		// same canonical form.
 		canon := strings.TrimPrefix(d.String(), "omp ")
-		d2, err := Parse(canon)
-		if err != nil {
+		d2, diags := ParseAt(canon, Pos{})
+		if err := diags.Err(); err != nil {
 			t.Fatalf("canonical form %q of %q does not re-parse: %v", canon, body, err)
 		}
 		if d2.String() != d.String() {

@@ -151,3 +151,37 @@ func TestGrammarGolden(t *testing.T) {
 	}
 	t.Fatalf("grammar drifted from %s: %d lines, want %d", grammarGolden, len(gl), len(wl))
 }
+
+// TestGrammarTables checks what the compiler cannot: the construct table
+// lists longer spellings first, every construct and clause has a row, and
+// every clause a construct allows names a clause row.
+func TestGrammarTables(t *testing.T) {
+	for i, r := range constructs {
+		words := len(strings.Fields(r.spelling))
+		if i > 0 && words > len(strings.Fields(constructs[i-1].spelling)) {
+			t.Errorf("row %q comes after the shorter %q", r.spelling, constructs[i-1].spelling)
+		}
+		if r.prefix >= words {
+			t.Errorf("row %q: prefix %d leaves no word to commit to", r.spelling, r.prefix)
+		}
+		for _, name := range strings.Fields(r.clauses) {
+			found := false
+			for _, c := range clauses {
+				found = found || c.name == name
+			}
+			if !found {
+				t.Errorf("row %q allows %q, which names no clause", r.spelling, name)
+			}
+		}
+	}
+	for c := ConstructParallel; c <= ConstructTargetTeamsDistributeParallelFor; c++ {
+		if constructRowOf(c) == nil {
+			t.Errorf("construct %d has no row", c)
+		}
+	}
+	for k := ClausePrivate; k <= ClauseFrom; k++ {
+		if clauseRowOf(k) == nil {
+			t.Errorf("clause %d has no row", k)
+		}
+	}
+}

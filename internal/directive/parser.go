@@ -2,6 +2,7 @@ package directive
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -16,28 +17,29 @@ type parser struct {
 	pos   int
 	base  Pos // file position of src's first byte (zero when unknown)
 	diags DiagnosticList
+	// start and word locate the keyword of the clause being parsed, which
+	// a bad argument's diagnostic points at.
+	start int
+	word  string
 }
 
 // errorf records a diagnostic for the byte range [start, start+length) of
 // the body, clamped so positions always land inside (or one past) the body.
 func (p *parser) errorf(kind DiagKind, start, length int, format string, args ...any) {
-	if start > len(p.src) {
-		start = len(p.src)
-	}
-	if start < 0 {
-		start = 0
-	}
-	if length < 1 {
-		length = 1
-	}
-	if start+length > len(p.src)+1 {
-		length = max(1, len(p.src)+1-start)
-	}
+	start = min(max(start, 0), len(p.src))
+	length = max(1, min(length, len(p.src)+1-start))
 	file, line, col := p.base.absolute(start)
 	p.diags = append(p.diags, &Diagnostic{
 		File: file, Line: line, Col: col, Span: length,
 		Kind: kind, Severity: SevError, Msg: fmt.Sprintf(format, args...),
 	})
+}
+
+// badArg reports a malformed argument of the clause being parsed; a shape
+// returns its result.
+func (p *parser) badArg(format string, args ...any) (Clause, bool) {
+	p.errorf(DiagBadClauseArg, p.start, len(p.word), format, args...)
+	return nil, false
 }
 
 func (p *parser) skipSpace() {
@@ -49,6 +51,12 @@ func (p *parser) skipSpace() {
 func (p *parser) atEnd() bool {
 	p.skipSpace()
 	return p.pos >= len(p.src)
+}
+
+// peek reports whether the next non-blank byte is c.
+func (p *parser) peek(c byte) bool {
+	p.skipSpace()
+	return p.pos < len(p.src) && p.src[p.pos] == c
 }
 
 // ident scans a lowercase identifier/keyword token.
@@ -66,55 +74,39 @@ func (p *parser) ident() string {
 	return p.src[start:p.pos]
 }
 
+// skipParens advances from the '(' at p.pos past its balancing ')' and
+// reports whether there was one; without it, p.pos ends at the body's end.
+func (p *parser) skipParens() bool {
+	depth := 0
+	for ; p.pos < len(p.src); p.pos++ {
+		switch p.src[p.pos] {
+		case '(':
+			depth++
+		case ')':
+			depth--
+			if depth == 0 {
+				p.pos++
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // parenBody scans "( ... )" with balanced nesting and returns the inside.
 // On failure it records a diagnostic attributed to clause and returns
 // ok=false.
 func (p *parser) parenBody(clause string) (string, bool) {
-	p.skipSpace()
-	if p.pos >= len(p.src) || p.src[p.pos] != '(' {
+	if !p.peek('(') {
 		p.errorf(DiagSyntax, p.pos, 1, "%s: expected '('", clause)
 		return "", false
 	}
 	open := p.pos
-	depth := 0
-	start := p.pos + 1
-	for ; p.pos < len(p.src); p.pos++ {
-		switch p.src[p.pos] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 {
-				body := p.src[start:p.pos]
-				p.pos++
-				return strings.TrimSpace(body), true
-			}
-		}
+	if !p.skipParens() {
+		p.errorf(DiagSyntax, open, 1, "%s: unbalanced parentheses", clause)
+		return "", false
 	}
-	p.errorf(DiagSyntax, open, 1, "%s: unbalanced parentheses", clause)
-	return "", false
-}
-
-// skipClauseTail advances past a malformed clause's argument list, if any,
-// so recovery resumes at the next clause instead of tripping over '('.
-func (p *parser) skipClauseTail() {
-	p.skipSpace()
-	if p.pos >= len(p.src) || p.src[p.pos] != '(' {
-		return
-	}
-	depth := 0
-	for ; p.pos < len(p.src); p.pos++ {
-		switch p.src[p.pos] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 {
-				p.pos++
-				return
-			}
-		}
-	}
+	return strings.TrimSpace(p.src[open+1 : p.pos-1]), true
 }
 
 // splitTop splits s on top-level (unparenthesised) occurrences of sep.
@@ -138,41 +130,12 @@ func splitTop(s string, sep byte) []string {
 	return parts
 }
 
-var reductionOps = map[string]bool{
-	"+": true, "-": true, "*": true, "max": true, "min": true,
-	"&": true, "|": true, "^": true, "&&": true, "||": true,
-}
-
-var dependModes = map[string]DepMode{
-	"in": DependIn, "out": DependOut, "inout": DependInOut,
-	"sink": DependSink,
-}
-
-var scheduleKinds = map[string]ScheduleKind{
-	"static":  SchedStatic,
-	"dynamic": SchedDynamic,
-	"guided":  SchedGuided,
-	"auto":    SchedAuto,
-	"runtime": SchedRuntime,
-}
-
-// Parse parses a directive body (the comment text after the omp sentinel),
-// e.g. "parallel for schedule(dynamic,4) reduction(+:sum)", without file
-// context; diagnostics carry body-relative columns only. The error, when
-// non-nil, is a DiagnosticList.
-func Parse(body string) (*Directive, error) {
-	d, diags := ParseAt(body, Pos{})
-	if err := diags.Err(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // ParseAt parses a directive body located at pos in its source file (the
-// position of the body's first byte, as found by DirectiveBody). It returns
-// the directive — non-nil whenever the construct itself was recognised,
-// even if some clauses were bad — together with every syntax and validation
-// diagnostic, positioned at real file coordinates and sorted by position.
+// position of the body's first byte, as found by DirectiveBody; the zero
+// Pos gives body-relative columns). It returns the directive — non-nil
+// whenever the construct itself was recognised, even if some clauses were
+// bad — together with every syntax and validation diagnostic, positioned at
+// real file coordinates and sorted by position.
 func ParseAt(body string, pos Pos) (*Directive, DiagnosticList) {
 	p := &parser{src: body, base: pos}
 	d := p.parseDirective()
@@ -195,147 +158,19 @@ func (s *span) setSpan(start, length int) { *s = span{start, length} }
 func (p *parser) parseDirective() *Directive {
 	d := &Directive{Text: strings.TrimSpace(p.src)}
 	p.skipSpace()
-	cstart := p.pos
-	first := p.ident()
-	switch first {
-	case "parallel":
-		// May be combined: parallel for / parallel sections.
-		save := p.pos
-		switch p.ident() {
-		case "for":
-			d.Construct = ConstructParallelFor
-		case "sections":
-			d.Construct = ConstructParallelSections
-		default:
-			d.Construct = ConstructParallel
-			p.pos = save
-		}
-	case "for":
-		d.Construct = ConstructFor
-	case "sections":
-		d.Construct = ConstructSections
-	case "section":
-		d.Construct = ConstructSection
-	case "single":
-		d.Construct = ConstructSingle
-	case "master", "masked":
-		d.Construct = ConstructMaster
-	case "critical":
-		d.Construct = ConstructCritical
-		// Optional (name).
-		p.skipSpace()
-		if p.pos < len(p.src) && p.src[p.pos] == '(' {
-			nstart := p.pos
-			if name, ok := p.parenBody("critical"); ok {
-				c := &NameClause{Name: name}
-				c.setSpan(nstart, p.pos-nstart)
-				d.Clauses = append(d.Clauses, c)
-			}
-		}
-	case "barrier":
-		d.Construct = ConstructBarrier
-	case "atomic":
-		d.Construct = ConstructAtomic
-		// Optional memory-order / form word (read|write|update|capture);
-		// we accept and ignore the form, treating all as update-strength.
-		save := p.pos
-		switch p.ident() {
-		case "read", "write", "update", "capture":
-		default:
-			p.pos = save
-		}
-	case "ordered":
-		d.Construct = ConstructOrdered
-	case "task":
-		d.Construct = ConstructTask
-	case "taskwait":
-		d.Construct = ConstructTaskwait
-	case "taskgroup":
-		d.Construct = ConstructTaskgroup
-	case "taskloop":
-		d.Construct = ConstructTaskloop
-	case "flush":
-		d.Construct = ConstructFlush
-		// Optional flush list, ignored (Go's memory model makes the
-		// runtime's synchronisation do the flushing).
-		p.skipSpace()
-		if p.pos < len(p.src) && p.src[p.pos] == '(' {
-			p.parenBody("flush")
-		}
-	case "cancel", "cancellation":
-		if first == "cancellation" {
-			p.skipSpace()
-			wstart := p.pos
-			if next := p.ident(); next != "point" {
-				p.errorf(DiagSyntax, wstart, max(len(next), 1),
-					"expected 'cancellation point', got 'cancellation %s'", next)
-				d.Construct = ConstructCancellationPoint
-				return d
-			}
-			d.Construct = ConstructCancellationPoint
-		} else {
-			d.Construct = ConstructCancel
-		}
-		// The construct-type the cancellation applies to. Only the
-		// constructs this runtime can cancel are accepted.
-		p.skipSpace()
-		tstart := p.pos
-		ctype := p.ident()
-		switch ctype {
-		case "parallel", "for", "taskgroup", "sections":
-			c := &NameClause{Name: ctype}
-			c.setSpan(tstart, p.pos-tstart)
-			d.Clauses = append(d.Clauses, c)
-		default:
-			p.errorf(DiagSyntax, tstart, max(len(ctype), 1),
-				"cancel: unknown construct type %q", ctype)
-		}
-	case "taskyield":
-		d.Construct = ConstructTaskyield
-	case "target":
-		// May be followed by a second construct word: data / enter data /
-		// exit data / update / teams distribute parallel for.
-		save := p.pos
-		wstart := p.pos
-		switch second := p.ident(); second {
-		case "data":
-			d.Construct = ConstructTargetData
-		case "enter", "exit":
-			p.skipSpace()
-			dstart := p.pos
-			if next := p.ident(); next != "data" {
-				p.errorf(DiagSyntax, dstart, max(len(next), 1),
-					"expected 'target %s data', got 'target %s %s'", second, second, next)
-			}
-			if second == "enter" {
-				d.Construct = ConstructTargetEnterData
-			} else {
-				d.Construct = ConstructTargetExitData
-			}
-		case "update":
-			d.Construct = ConstructTargetUpdate
-		case "teams":
-			// Only the fully combined form is supported: the intermediate
-			// composites (target teams, target teams distribute) have no
-			// lowering of their own here.
-			rest := []string{p.ident(), p.ident(), p.ident()}
-			if rest[0] != "distribute" || rest[1] != "parallel" || rest[2] != "for" {
-				p.errorf(DiagSyntax, wstart, p.pos-wstart,
-					"after 'target teams' only the combined 'target teams distribute parallel for' is supported")
-			}
-			d.Construct = ConstructTargetTeamsDistributeParallelFor
-		default:
-			d.Construct = ConstructTarget
-			p.pos = save
-		}
-	case "":
-		p.errorf(DiagSyntax, cstart, 1, "empty directive")
-		return nil
-	default:
-		p.errorf(DiagUnknownConstruct, cstart, len(first), "unknown construct %q", first)
+	r, whole := p.construct()
+	if r == nil {
 		return nil
 	}
-
+	d.Construct = r.c
+	if r.arg != nil {
+		// Without the whole spelling the argument cannot be told from the
+		// clauses, so the directive ends at the error.
+		if !whole {
+			return d
+		}
+		r.arg(p, d)
+	}
 	for !p.atEnd() {
 		start := p.pos
 		word := p.ident()
@@ -347,7 +182,9 @@ func (p *parser) parseDirective() *Directive {
 		}
 		clause, ok := p.parseClause(start, word)
 		if !ok {
-			p.skipClauseTail()
+			if p.peek('(') {
+				p.skipParens()
+			}
 			continue
 		}
 		clause.(spanSetter).setSpan(start, p.pos-start)
@@ -356,291 +193,323 @@ func (p *parser) parseDirective() *Directive {
 	return d
 }
 
+// construct matches the construct table's spellings, in table order,
+// against the words at p.pos and leaves p after the matched words. whole is
+// false when a row's committing prefix matched but the rest of its spelling
+// did not; that is reported, and the row is still the construct.
+func (p *parser) construct() (row *constructRow, whole bool) {
+	start := p.pos
+	first := p.ident()
+	next := p.pos
+rows:
+	for i := range constructs {
+		r := &constructs[i]
+		if !strings.HasPrefix(r.spelling, first) {
+			continue
+		}
+		want, rest, _ := strings.Cut(r.spelling, " ")
+		if want != first {
+			continue
+		}
+		p.pos = next
+		for n := 1; rest != ""; n++ {
+			want, rest, _ = strings.Cut(rest, " ")
+			p.skipSpace()
+			wstart := p.pos
+			if got := p.ident(); got != want {
+				if n < r.prefix || r.prefix == 0 {
+					continue rows
+				}
+				p.partial(r, start, wstart, n, got)
+				return r, false
+			}
+		}
+		return r, true
+	}
+	if first != "" {
+		p.errorf(DiagUnknownConstruct, start, len(first), "unknown construct %q", first)
+	} else {
+		p.errorf(DiagSyntax, start, 1, "empty directive")
+	}
+	return nil, false
+}
+
+// partial reports a spelling that follows r's committing prefix but read
+// got, at wstart, in place of its word n. The remaining words of r are
+// consumed. A row with one word after its prefix names what was expected;
+// a longer one says that only the combined spelling is supported.
+func (p *parser) partial(r *constructRow, start, wstart, n int, got string) {
+	words := strings.Fields(r.spelling)
+	for range words[n+1:] {
+		p.ident()
+	}
+	lead := strings.Join(words[:r.prefix], " ")
+	if len(words) == r.prefix+1 {
+		p.errorf(DiagSyntax, wstart, max(len(got), 1), "expected '%s', got '%s %s'", r.spelling, lead, got)
+		return
+	}
+	from := start + len(words[0])
+	p.errorf(DiagSyntax, from, p.pos-from, "after '%s' only the combined '%s' is supported", lead, r.spelling)
+}
+
+// criticalName parses critical's optional "(name)".
+func (p *parser) criticalName(d *Directive) {
+	if !p.peek('(') {
+		return
+	}
+	start := p.pos
+	if name, ok := p.parenBody("critical"); ok {
+		d.Clauses = append(d.Clauses, &NameClause{span{start, p.pos - start}, name})
+	}
+}
+
+// atomicForm skips atomic's optional form word: every form is lowered at
+// update strength.
+func (p *parser) atomicForm(*Directive) {
+	save := p.pos
+	if !hasWord(atomicForms, p.ident()) {
+		p.pos = save
+	}
+}
+
+// flushList skips flush's optional list: Go's memory model makes the
+// runtime's synchronisation do the flushing.
+func (p *parser) flushList(*Directive) {
+	if p.peek('(') {
+		p.parenBody("flush")
+	}
+}
+
+// cancelType parses the construct type of cancel and cancellation point.
+func (p *parser) cancelType(d *Directive) {
+	p.skipSpace()
+	start := p.pos
+	word := p.ident()
+	if !hasWord(cancelTypes, word) {
+		p.errorf(DiagSyntax, start, max(len(word), 1), "cancel: unknown construct type %q", word)
+		return
+	}
+	d.Clauses = append(d.Clauses, &NameClause{span{start, p.pos - start}, word})
+}
+
 // parseClause parses one clause beginning with keyword word at byte offset
 // start. On failure the diagnostic has already been recorded.
 func (p *parser) parseClause(start int, word string) (Clause, bool) {
-	switch word {
-	case "private", "firstprivate", "lastprivate", "shared", "copyprivate":
-		body, ok := p.parenBody(word)
-		if !ok {
-			return nil, false
+	for i := range clauses {
+		if r := &clauses[i]; r.name == word && r.parse != nil {
+			p.start, p.word = start, word
+			return r.parse(p, r.kind)
 		}
-		vars := splitTop(body, ',')
-		for _, v := range vars {
-			if !isIdent(v) {
-				p.errorf(DiagBadClauseArg, start, len(word), "%s: %q is not a variable name", word, v)
-				return nil, false
-			}
-		}
-		kind := map[string]ClauseKind{
-			"private": ClausePrivate, "firstprivate": ClauseFirstprivate,
-			"lastprivate": ClauseLastprivate, "shared": ClauseShared,
-			"copyprivate": ClauseCopyprivate,
-		}[word]
-		return &DataSharingClause{Kind: kind, Vars: vars}, true
+	}
+	p.errorf(DiagUnknownClause, start, len(word), "unknown clause %q", word)
+	return nil, false
+}
 
-	case "default":
-		body, ok := p.parenBody(word)
-		if !ok {
+// names splits list on top-level commas into variable names.
+func (p *parser) names(list string) ([]string, bool) {
+	vars := splitTop(list, ',')
+	for _, v := range vars {
+		if !isIdent(v) {
+			p.badArg("%s: %q is not a variable name", p.word, v)
 			return nil, false
 		}
-		mode := DefaultShared
-		switch body {
-		case "shared":
-		case "none":
-			mode = DefaultNone
-		default:
-			p.errorf(DiagBadClauseArg, start, len(word), "default: want shared or none, got %q", body)
-			return nil, false
-		}
-		return &DefaultClause{Mode: mode}, true
+	}
+	return vars, true
+}
 
-	case "reduction":
-		body, ok := p.parenBody(word)
-		if !ok {
-			return nil, false
-		}
-		op, list, found := strings.Cut(body, ":")
-		if !found {
-			p.errorf(DiagBadClauseArg, start, len(word), "reduction: missing ':' in %q", body)
-			return nil, false
-		}
-		op = strings.TrimSpace(op)
-		if !reductionOps[op] {
-			p.errorf(DiagBadClauseArg, start, len(word), "reduction: unknown operator %q", op)
-			return nil, false
-		}
-		vars := splitTop(list, ',')
-		for _, v := range vars {
-			if !isIdent(v) {
-				p.errorf(DiagBadClauseArg, start, len(word), "reduction: %q is not a variable name", v)
-				return nil, false
-			}
-		}
-		return &ReductionClause{Op: op, Vars: vars}, true
-
-	case "schedule":
-		body, ok := p.parenBody(word)
-		if !ok {
-			return nil, false
-		}
-		parts := splitTop(body, ',')
-		kindWord := strings.TrimSpace(parts[0])
-		modifier := ModifierNone
-		if i := strings.Index(kindWord, ":"); i >= 0 {
-			switch mod := strings.TrimSpace(kindWord[:i]); mod {
-			case "monotonic":
-				modifier = ModifierMonotonic
-			case "nonmonotonic":
-				modifier = ModifierNonmonotonic
-			default:
-				p.errorf(DiagBadClauseArg, start, len(word), "schedule: unknown modifier %q (want monotonic or nonmonotonic)", mod)
-				return nil, false
-			}
-			kindWord = strings.TrimSpace(kindWord[i+1:])
-		}
-		kind, known := scheduleKinds[kindWord]
-		if !known {
-			p.errorf(DiagBadClauseArg, start, len(word), "schedule: unknown kind %q", kindWord)
-			return nil, false
-		}
-		if modifier == ModifierNonmonotonic && kind != SchedDynamic && kind != SchedGuided {
-			p.errorf(DiagBadClauseArg, start, len(word),
-				"schedule: the nonmonotonic modifier requires a dynamic or guided kind, not %q", kindWord)
-			return nil, false
-		}
-		c := &ScheduleClause{Modifier: modifier, Kind: kind}
-		if len(parts) > 1 {
-			c.Chunk = parts[1]
-			if c.Chunk == "" {
-				p.errorf(DiagBadClauseArg, start, len(word), "schedule: empty chunk expression")
-				return nil, false
-			}
-		}
-		if len(parts) > 2 {
-			p.errorf(DiagBadClauseArg, start, len(word), "schedule: too many arguments")
-			return nil, false
-		}
-		return c, true
-
-	case "num_threads", "if", "grainsize", "priority", "final", "num_tasks",
-		"device", "num_teams", "thread_limit":
-		body, ok := p.parenBody(word)
-		if !ok {
-			return nil, false
-		}
-		if body == "" {
-			p.errorf(DiagBadClauseArg, start, len(word), "%s: empty expression", word)
-			return nil, false
-		}
-		kind := map[string]ClauseKind{
-			"num_threads": ClauseNumThreads, "if": ClauseIf, "grainsize": ClauseGrainsize,
-			"priority": ClausePriority, "final": ClauseFinal, "num_tasks": ClauseNumTasks,
-			"device": ClauseDevice, "num_teams": ClauseNumTeams, "thread_limit": ClauseThreadLimit,
-		}[word]
-		return &ExprClause{Kind: kind, Text: body}, true
-
-	case "map":
-		body, ok := p.parenBody(word)
-		if !ok {
-			return nil, false
-		}
-		mtype := MapToFrom
-		list := body
-		if t, rest, found := strings.Cut(body, ":"); found {
-			known := map[string]MapType{
-				"tofrom": MapToFrom, "to": MapTo, "from": MapFrom,
-				"alloc": MapAlloc, "release": MapRelease, "delete": MapDelete,
-			}
-			mt, ok := known[strings.TrimSpace(t)]
-			if !ok {
-				p.errorf(DiagBadClauseArg, start, len(word),
-					"map: unknown map-type %q (want tofrom, to, from, alloc, release or delete)", strings.TrimSpace(t))
-				return nil, false
-			}
-			mtype, list = mt, rest
-		}
-		vars := splitTop(list, ',')
-		for _, v := range vars {
-			if !isIdent(v) {
-				p.errorf(DiagBadClauseArg, start, len(word), "map: %q is not a variable name", v)
-				return nil, false
-			}
-		}
-		return &MapClause{Type: mtype, Vars: vars}, true
-
-	case "is_device_ptr":
-		body, ok := p.parenBody(word)
-		if !ok {
-			return nil, false
-		}
-		vars := splitTop(body, ',')
-		for _, v := range vars {
-			if !isIdent(v) {
-				p.errorf(DiagBadClauseArg, start, len(word), "is_device_ptr: %q is not a variable name", v)
-				return nil, false
-			}
-		}
-		return &DataSharingClause{Kind: ClauseIsDevicePtr, Vars: vars}, true
-
-	case "to", "from":
-		body, ok := p.parenBody(word)
-		if !ok {
-			return nil, false
-		}
-		vars := splitTop(body, ',')
-		for _, v := range vars {
-			if !isIdent(v) {
-				p.errorf(DiagBadClauseArg, start, len(word), "%s: %q is not a variable name", word, v)
-				return nil, false
-			}
-		}
-		kind := ClauseTo
-		if word == "from" {
-			kind = ClauseFrom
-		}
-		return &MotionClause{Kind: kind, Vars: vars}, true
-
-	case "depend":
-		body, ok := p.parenBody(word)
-		if !ok {
-			return nil, false
-		}
-		if body == "source" {
-			// The doacross post form has no list: depend(source).
-			return &DependClause{Mode: DependSource}, true
-		}
-		modText, list, found := strings.Cut(body, ":")
-		if !found {
-			p.errorf(DiagBadClauseArg, start, len(word),
-				"depend: missing dependence type (want depend(in|out|inout: list), depend(sink: vec) or depend(source))")
-			return nil, false
-		}
-		mode, known := dependModes[strings.TrimSpace(modText)]
-		if !known {
-			p.errorf(DiagBadClauseArg, start, len(word),
-				"depend: unknown dependence type %q (want in, out, inout, sink or source)", strings.TrimSpace(modText))
-			return nil, false
-		}
-		vars := splitTop(list, ',')
-		if mode == DependSink {
-			// The sink list is one iteration vector of index expressions
-			// (i-1, j, ...); the preprocessor runs before type checking,
-			// so the components stay opaque text.
-			for _, v := range vars {
-				if v == "" {
-					p.errorf(DiagBadClauseArg, start, len(word),
-						"depend(sink): empty iteration-vector component")
-					return nil, false
-				}
-			}
-			return &DependClause{Mode: DependSink, Vars: vars}, true
-		}
-		for _, v := range vars {
-			if !isDependItem(v) {
-				p.errorf(DiagBadClauseArg, start, len(word),
-					"depend: %q is not a dependence list item", v)
-				return nil, false
-			}
-		}
-		return &DependClause{Mode: mode, Vars: vars}, true
-
-	case "collapse":
-		body, ok := p.parenBody(word)
-		if !ok {
-			return nil, false
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(body))
-		if err != nil || n < 1 {
-			p.errorf(DiagBadClauseArg, start, len(word), "collapse: want a positive integer, got %q", body)
-			return nil, false
-		}
-		return &CollapseClause{N: n}, true
-
-	case "nowait":
-		return &FlagClause{Kind: ClauseNowait}, true
-
-	case "nogroup":
-		return &FlagClause{Kind: ClauseNogroup}, true
-
-	case "ordered":
-		// Optional doacross parameter: ordered(n) declares an n-deep
-		// doacross nest; bare ordered enables in-order regions.
-		p.skipSpace()
-		if p.pos < len(p.src) && p.src[p.pos] == '(' {
-			body, ok := p.parenBody(word)
-			if !ok {
-				return nil, false
-			}
-			n, err := strconv.Atoi(strings.TrimSpace(body))
-			if err != nil || n < 1 {
-				p.errorf(DiagBadClauseArg, start, len(word), "ordered: want a positive integer, got %q", body)
-				return nil, false
-			}
-			return &OrderedClause{N: n}, true
-		}
-		return &OrderedClause{}, true
-
-	case "untied":
-		return &FlagClause{Kind: ClauseUntied}, true
-
-	case "proc_bind":
-		body, ok := p.parenBody(word)
-		if !ok {
-			return nil, false
-		}
-		switch body {
-		case "master", "primary", "close", "spread", "true", "false":
-		default:
-			p.errorf(DiagBadClauseArg, start, len(word), "proc_bind: unknown kind %q", body)
-			return nil, false
-		}
-		return &ProcBindClause{Policy: body}, true
-
-	default:
-		p.errorf(DiagUnknownClause, start, len(word), "unknown clause %q", word)
+// varList parses "(v1, v2, ...)".
+func (p *parser) varList() ([]string, bool) {
+	body, ok := p.parenBody(p.word)
+	if !ok {
 		return nil, false
 	}
+	return p.names(body)
+}
+
+// list parses a data-sharing clause or is_device_ptr: "(v1, v2, ...)". Like
+// every shape, its clause is used only when ok.
+func (p *parser) list(k ClauseKind) (Clause, bool) {
+	vars, ok := p.varList()
+	return &DataSharingClause{Kind: k, Vars: vars}, ok
+}
+
+// motion parses target update's to and from: "(v1, v2, ...)".
+func (p *parser) motion(k ClauseKind) (Clause, bool) {
+	vars, ok := p.varList()
+	return &MotionClause{Kind: k, Vars: vars}, ok
+}
+
+// expr parses "(expr)", kept as opaque text: the preprocessor runs before
+// type checking.
+func (p *parser) expr(k ClauseKind) (Clause, bool) {
+	body, ok := p.parenBody(p.word)
+	if !ok {
+		return nil, false
+	}
+	if body == "" {
+		return p.badArg("%s: empty expression", p.word)
+	}
+	return &ExprClause{Kind: k, Text: body}, true
+}
+
+// flag parses a clause without an argument.
+func (p *parser) flag(k ClauseKind) (Clause, bool) { return &FlagClause{Kind: k}, true }
+
+// integer parses "(n)" with n a positive integer: collapse's depth, or the
+// doacross depth of ordered, whose bare form enables in-order regions.
+func (p *parser) integer(k ClauseKind) (Clause, bool) {
+	n := 0
+	if k != ClauseOrdered || p.peek('(') {
+		body, ok := p.parenBody(p.word)
+		if !ok {
+			return nil, false
+		}
+		var err error
+		if n, err = strconv.Atoi(strings.TrimSpace(body)); err != nil || n < 1 {
+			return p.badArg("%s: want a positive integer, got %q", p.word, body)
+		}
+	}
+	if k == ClauseOrdered {
+		return &OrderedClause{N: n}, true
+	}
+	return &CollapseClause{N: n}, true
+}
+
+// defaultMode parses "(shared|none)".
+func (p *parser) defaultMode(ClauseKind) (Clause, bool) {
+	body, ok := p.parenBody(p.word)
+	if !ok {
+		return nil, false
+	}
+	m := slices.Index(defaultModes, body)
+	if m < 0 {
+		return p.badArg("default: want %s, got %q", oneOf(defaultModes), body)
+	}
+	return &DefaultClause{Mode: DefaultMode(m)}, true
+}
+
+// procBind parses "(policy)".
+func (p *parser) procBind(ClauseKind) (Clause, bool) {
+	body, ok := p.parenBody(p.word)
+	if !ok {
+		return nil, false
+	}
+	if !hasWord(procBindPolicies, body) {
+		return p.badArg("proc_bind: unknown kind %q", body)
+	}
+	return &ProcBindClause{Policy: body}, true
+}
+
+// reduction parses "(op: v1, v2, ...)".
+func (p *parser) reduction(ClauseKind) (Clause, bool) {
+	body, ok := p.parenBody(p.word)
+	if !ok {
+		return nil, false
+	}
+	op, list, found := strings.Cut(body, ":")
+	if !found {
+		return p.badArg("reduction: missing ':' in %q", body)
+	}
+	op = strings.TrimSpace(op)
+	if !hasWord(reductionOps, op) {
+		return p.badArg("reduction: unknown operator %q", op)
+	}
+	vars, ok := p.names(list)
+	if !ok {
+		return nil, false
+	}
+	return &ReductionClause{Op: op, Vars: vars}, true
+}
+
+// schedule parses "([modifier:]kind[, chunk])".
+func (p *parser) schedule(ClauseKind) (Clause, bool) {
+	body, ok := p.parenBody(p.word)
+	if !ok {
+		return nil, false
+	}
+	parts := splitTop(body, ',')
+	c := &ScheduleClause{}
+	kind := parts[0]
+	if mod, rest, found := strings.Cut(kind, ":"); found {
+		mod = strings.TrimSpace(mod)
+		m := slices.Index(scheduleModifiers, mod)
+		if m <= int(ModifierNone) {
+			return p.badArg("schedule: unknown modifier %q (want %s)", mod, oneOf(scheduleModifiers[1:]))
+		}
+		c.Modifier, kind = ScheduleModifier(m), strings.TrimSpace(rest)
+	}
+	k := slices.Index(scheduleKinds, kind)
+	if k < 0 {
+		return p.badArg("schedule: unknown kind %q", kind)
+	}
+	c.Kind = ScheduleKind(k)
+	if c.Modifier == ModifierNonmonotonic && c.Kind != SchedDynamic && c.Kind != SchedGuided {
+		return p.badArg("schedule: the nonmonotonic modifier requires a dynamic or guided kind, not %q", kind)
+	}
+	if len(parts) > 1 {
+		c.Chunk = parts[1]
+		if c.Chunk == "" {
+			return p.badArg("schedule: empty chunk expression")
+		}
+	}
+	if len(parts) > 2 {
+		return p.badArg("schedule: too many arguments")
+	}
+	return c, true
+}
+
+// mapClause parses "([map-type:] v1, v2, ...)".
+func (p *parser) mapClause(ClauseKind) (Clause, bool) {
+	body, ok := p.parenBody(p.word)
+	if !ok {
+		return nil, false
+	}
+	c := &MapClause{}
+	if t, rest, found := strings.Cut(body, ":"); found {
+		t = strings.TrimSpace(t)
+		m := slices.Index(mapTypes, t)
+		if m < 0 {
+			return p.badArg("map: unknown map-type %q (want %s)", t, oneOf(mapTypes))
+		}
+		c.Type, body = MapType(m), rest
+	}
+	if c.Vars, ok = p.names(body); !ok {
+		return nil, false
+	}
+	return c, true
+}
+
+// depend parses "(in|out|inout: list)", "(sink: vec)" or "(source)".
+func (p *parser) depend(ClauseKind) (Clause, bool) {
+	body, ok := p.parenBody(p.word)
+	if !ok {
+		return nil, false
+	}
+	if body == depModes[DependSource] {
+		// The doacross post form has no list.
+		return &DependClause{Mode: DependSource}, true
+	}
+	modText, list, found := strings.Cut(body, ":")
+	if !found {
+		return p.badArg("depend: missing dependence type (want depend(in|out|inout: list), depend(sink: vec) or depend(source))")
+	}
+	modText = strings.TrimSpace(modText)
+	m := slices.Index(depModes, modText)
+	if m < 0 || DepMode(m) == DependSource {
+		return p.badArg("depend: unknown dependence type %q (want %s)", modText, oneOf(depModes))
+	}
+	c := &DependClause{Mode: DepMode(m), Vars: splitTop(list, ',')}
+	for _, v := range c.Vars {
+		// A sink list is one iteration vector of index expressions (i-1,
+		// j, ...), kept as opaque text like every expression here.
+		if c.Mode == DependSink && v == "" {
+			return p.badArg("depend(sink): empty iteration-vector component")
+		}
+		if c.Mode != DependSink && !isDependItem(v) {
+			return p.badArg("depend: %q is not a dependence list item", v)
+		}
+	}
+	return c, true
 }
 
 // isDependItem reports whether s is a well-formed dependence list item: an
@@ -648,41 +517,22 @@ func (p *parser) parseClause(start int, word string) (Clause, bool) {
 // "m[i][j+1]"). The preprocessor runs before type checking, so index
 // expressions stay opaque text.
 func isDependItem(s string) bool {
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' ||
-			(i > 0 && c >= '0' && c <= '9') {
-			i++
-			continue
-		}
-		break
+	i := strings.IndexByte(s, '[')
+	if i < 0 {
+		return isIdent(s)
 	}
-	if i == 0 {
-		return false
-	}
-	for i < len(s) {
-		if s[i] != '[' {
-			return false
-		}
-		depth := 0
-		for ; i < len(s); i++ {
-			switch s[i] {
-			case '[':
-				depth++
-			case ']':
-				depth--
-			}
-			if depth == 0 {
-				i++
-				break
-			}
-		}
-		if depth != 0 {
+	depth := 0
+	for _, c := range []byte(s[i:]) {
+		switch {
+		case c == '[':
+			depth++
+		case c == ']' && depth > 0:
+			depth--
+		case depth == 0:
 			return false
 		}
 	}
-	return true
+	return depth == 0 && isIdent(s[:i])
 }
 
 func isIdent(s string) bool {
@@ -703,102 +553,10 @@ func isIdent(s string) bool {
 	return true
 }
 
-// allowedClauses maps each construct to its legal clauses (OpenMP 5.2
-// directive definitions, restricted to what this implementation lowers).
-var allowedClauses = map[Construct]map[ClauseKind]bool{
-	ConstructParallel: {
-		ClausePrivate: true, ClauseFirstprivate: true, ClauseShared: true,
-		ClauseDefault: true, ClauseReduction: true, ClauseNumThreads: true,
-		ClauseIf: true, ClauseProcBind: true,
-	},
-	ConstructFor: {
-		ClausePrivate: true, ClauseFirstprivate: true, ClauseLastprivate: true,
-		ClauseReduction: true, ClauseSchedule: true, ClauseCollapse: true,
-		ClauseNowait: true, ClauseOrdered: true,
-	},
-	ConstructParallelFor: {
-		ClausePrivate: true, ClauseFirstprivate: true, ClauseLastprivate: true,
-		ClauseShared: true, ClauseDefault: true, ClauseReduction: true,
-		ClauseSchedule: true, ClauseCollapse: true, ClauseNumThreads: true,
-		ClauseIf: true, ClauseOrdered: true, ClauseProcBind: true,
-	},
-	ConstructSections: {
-		ClausePrivate: true, ClauseFirstprivate: true, ClauseLastprivate: true,
-		ClauseReduction: true, ClauseNowait: true,
-	},
-	ConstructParallelSections: {
-		ClausePrivate: true, ClauseFirstprivate: true, ClauseShared: true,
-		ClauseDefault: true, ClauseReduction: true, ClauseNumThreads: true, ClauseIf: true,
-	},
-	ConstructSection: {},
-	ConstructSingle: {
-		ClausePrivate: true, ClauseFirstprivate: true, ClauseCopyprivate: true,
-		ClauseNowait: true,
-	},
-	ConstructMaster:   {},
-	ConstructCritical: {ClauseName: true},
-	ConstructBarrier:  {},
-	ConstructAtomic:   {},
-	// The ordered construct accepts depend only in its doacross spellings
-	// (sink/source); Validate rejects the task dependence types on it.
-	ConstructOrdered: {ClauseDepend: true},
-	ConstructTask: {
-		ClausePrivate: true, ClauseFirstprivate: true, ClauseShared: true,
-		ClauseDefault: true, ClauseIf: true, ClauseUntied: true,
-		ClauseDepend: true, ClausePriority: true, ClauseFinal: true,
-	},
-	ConstructTaskwait:  {},
-	ConstructTaskgroup: {},
-	ConstructTaskloop: {
-		ClausePrivate: true, ClauseFirstprivate: true, ClauseLastprivate: true,
-		ClauseShared: true, ClauseGrainsize: true, ClauseIf: true,
-		ClauseNumTasks: true, ClauseNogroup: true, ClausePriority: true,
-		ClauseFinal: true, ClauseUntied: true,
-	},
-	ConstructFlush:             {},
-	ConstructCancel:            {ClauseName: true, ClauseIf: true},
-	ConstructCancellationPoint: {ClauseName: true},
-	ConstructTaskyield:         {},
-	ConstructTarget: {
-		ClauseMap: true, ClauseDevice: true, ClauseIsDevicePtr: true,
-		ClauseIf: true, ClauseNowait: true,
-	},
-	ConstructTargetData: {
-		ClauseMap: true, ClauseDevice: true, ClauseIf: true,
-	},
-	ConstructTargetEnterData: {
-		ClauseMap: true, ClauseDevice: true, ClauseIf: true, ClauseNowait: true,
-	},
-	ConstructTargetExitData: {
-		ClauseMap: true, ClauseDevice: true, ClauseIf: true, ClauseNowait: true,
-	},
-	ConstructTargetUpdate: {
-		ClauseTo: true, ClauseFrom: true, ClauseDevice: true,
-		ClauseIf: true, ClauseNowait: true,
-	},
-	ConstructTargetTeamsDistributeParallelFor: {
-		ClauseMap: true, ClauseDevice: true, ClauseIsDevicePtr: true,
-		ClauseIf: true, ClauseNowait: true, ClauseNumTeams: true,
-		ClauseThreadLimit: true, ClausePrivate: true, ClauseFirstprivate: true,
-		ClauseShared: true, ClauseDefault: true, ClauseSchedule: true,
-		ClauseCollapse: true,
-	},
-}
-
-// atMostOnce lists clauses that may appear at most once per directive.
-var atMostOnce = map[ClauseKind]bool{
-	ClauseSchedule: true, ClauseNumThreads: true, ClauseIf: true,
-	ClauseCollapse: true, ClauseDefault: true, ClauseNowait: true,
-	ClauseOrdered: true, ClauseProcBind: true, ClauseGrainsize: true,
-	ClauseName: true, ClausePriority: true, ClauseFinal: true,
-	ClauseNumTasks: true, ClauseNogroup: true, ClauseDevice: true,
-	ClauseNumTeams: true, ClauseThreadLimit: true,
-}
-
 // Validate checks the directive against the clause-compatibility rules of
 // OpenMP 5.2 (clause/construct legality, uniqueness, data-sharing class
 // conflicts, implementation limits) and returns every violation as a
-// positioned diagnostic. ParseAt and Parse call it automatically; it is
+// positioned diagnostic. ParseAt calls it automatically; it is
 // exported so a programmatically built Directive can be checked too.
 func (d *Directive) Validate() DiagnosticList {
 	var diags DiagnosticList
@@ -815,7 +573,10 @@ func (d *Directive) Validate() DiagnosticList {
 		})
 	}
 
-	allowed := allowedClauses[d.Construct]
+	allowed := ""
+	if r := constructRowOf(d.Construct); r != nil {
+		allowed = r.clauses
+	}
 	seen := map[ClauseKind]int{}
 	varClass := map[string]ClauseKind{}
 	checkVars := func(c Clause, kind ClauseKind, vars []string) {
@@ -831,11 +592,11 @@ func (d *Directive) Validate() DiagnosticList {
 	}
 	for _, c := range d.Clauses {
 		k := c.ClauseKind()
-		if !allowed[k] {
+		if !hasWord(allowed, k.String()) {
 			addAt(c, DiagClauseNotAllowed, "clause %q is not valid on %q", k, d.Construct)
 		}
 		seen[k]++
-		if atMostOnce[k] && seen[k] > 1 {
+		if r := clauseRowOf(k); r != nil && r.once && seen[k] > 1 {
 			addAt(c, DiagDuplicateClause, "clause %q may appear at most once", k)
 		}
 		switch cc := c.(type) {
@@ -959,12 +720,11 @@ func (d *Directive) Validate() DiagnosticList {
 			}
 		}
 	}
-	if d.Construct == ConstructTargetData && len(d.Maps()) == 0 {
-		addAt(nil, DiagConflictingClauses, "%q requires at least one map clause", d.Construct)
-	}
-	if (d.Construct == ConstructTargetEnterData || d.Construct == ConstructTargetExitData) &&
-		len(d.Maps()) == 0 {
-		addAt(nil, DiagConflictingClauses, "%q requires at least one map clause", d.Construct)
+	switch d.Construct {
+	case ConstructTargetData, ConstructTargetEnterData, ConstructTargetExitData:
+		if len(d.Maps()) == 0 {
+			addAt(nil, DiagConflictingClauses, "%q requires at least one map clause", d.Construct)
+		}
 	}
 	if d.Construct == ConstructTargetUpdate && len(d.Motions()) == 0 {
 		addAt(nil, DiagConflictingClauses,
