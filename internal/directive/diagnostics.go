@@ -87,8 +87,7 @@ func (k DiagKind) String() string { return spelling(diagKinds, int(k), "invalid"
 
 // Pos locates the first byte of a directive body within its source file,
 // both 1-based like token.Position. The zero Pos means "position unknown"
-// (Parse without a file context); diagnostics then report body-relative
-// columns only.
+// (no file context); diagnostics then report body-relative columns only.
 type Pos struct {
 	File string
 	Line int

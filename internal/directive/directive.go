@@ -6,8 +6,13 @@
 //
 //	//omp parallel for schedule(dynamic,4) reduction(+:sum) private(x)
 //
-// The parser produces a Directive AST — a Construct plus a list of typed
-// Clause nodes — that internal/transform lowers to runtime calls after
+// The grammar is spelled once, in two tables (grammar.go): the construct
+// table gives each construct's words, whether it is standalone, its own
+// argument and its valid clauses; the clause table gives each clause's
+// name, argument shape and whether it may repeat. The parser, the String
+// methods and Validate all read them, so adding a construct or a clause is
+// one row. The parser produces a Directive AST — a Construct plus a list of
+// typed Clause nodes — that internal/transform lowers to runtime calls after
 // validation against the clause-compatibility rules of OpenMP 5.2. Errors
 // are positioned Diagnostics aggregated in a DiagnosticList, so one pass
 // reports every problem in a file, compiler-style.
@@ -135,6 +140,7 @@ func (k ScheduleKind) String() string { return spelling(scheduleKinds, int(k), "
 // DefaultMode is the argument of the default clause.
 type DefaultMode int
 
+// The default clause's modes.
 const (
 	DefaultShared DefaultMode = iota
 	DefaultNone
