@@ -13,8 +13,9 @@
 // Pinned at 0 allocs/op: same-size Fork, Barrier, default-schedule
 // ForChunks, ReduceFor (float64 and int64), ReduceForLoop, bare Reduce,
 // Single with and without NoWait, ForOrdered, ForDoacross, and task spawn,
-// depend-task spawn, taskloop, and a whole 2-thread region of depend-tasks
-// spawned on one member and retired on the other.
+// depend-task spawn, taskloop, a whole 2-thread region of depend-tasks
+// spawned on one member and retired on the other, and the replay of a
+// recorded task graph whose tasks the other member runs.
 //
 // AllocsPerRun counts mallocs process-wide, so team members other than the
 // measuring goroutine participate in lockstep: AllocsPerRun calls f once as
@@ -250,6 +251,55 @@ func TestSteadyStateTaskDependAcrossThreadsAllocFree(t *testing.T) {
 	run()
 	if avg := testing.AllocsPerRun(allocRuns, run); avg != 0 {
 		t.Errorf("steady-state 2-thread depend wavefront (%d tasks): %v allocs/region, want 0", nb*nb, avg)
+	}
+}
+
+// TestSteadyStateTaskgraphReplayAllocFree pins the replay path: member 0
+// replays a recorded 16x16 wavefront graph, member 1 runs its tasks from the
+// region-end barrier. A replay builds no closures and registers nothing;
+// each node gets a recycled unit when its predecessors finish, and the
+// replay's charges on the parent, group and pool are made once.
+func TestSteadyStateTaskgraphReplayAllocFree(t *testing.T) {
+	const nb = 16
+	s := icv.Default()
+	s.NumThreads = []int{2}
+	rt := gomp.NewRuntime(s)
+	var tok [nb * nb]byte
+	var tg gomp.Taskgraph
+	avg := -1.0
+	rt.Parallel(func(th *gomp.Thread) {
+		if th.Num() != 0 {
+			return // run the tasks from the region-end barrier
+		}
+		body := func(*gomp.Thread) {}
+		sweep := func() {
+			for bi := 0; bi < nb; bi++ {
+				for bj := 0; bj < nb; bj++ {
+					var opts [3]gomp.TaskOption
+					n := 0
+					if bi > 0 {
+						opts[n] = gomp.DependIn(&tok[(bi-1)*nb+bj])
+						n++
+					}
+					if bj > 0 {
+						opts[n] = gomp.DependIn(&tok[bi*nb+bj-1])
+						n++
+					}
+					opts[n] = gomp.DependInOut(&tok[bi*nb+bj])
+					th.Task(body, opts[:n+1]...)
+				}
+			}
+		}
+		replay := func() { th.Taskgraph(&tg, sweep) }
+		for i := 0; i < 16; i++ {
+			replay()
+		}
+		time.Sleep(3 * time.Millisecond)
+		replay()
+		avg = testing.AllocsPerRun(allocRuns, replay)
+	})
+	if avg != 0 {
+		t.Errorf("steady-state 2-thread taskgraph replay (%d tasks): %v allocs/replay, want 0", nb*nb, avg)
 	}
 }
 

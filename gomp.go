@@ -48,6 +48,10 @@ type Thread = core.Thread
 // Runtime is an OpenMP device (worker pool + ICVs); see core.Runtime.
 type Runtime = core.Runtime
 
+// Taskgraph is a task graph recorded at its first encounter and replayed at
+// the later ones (Thread.Taskgraph); see core.Taskgraph.
+type Taskgraph = core.Taskgraph
+
 // OrderedCtx is the handle for ordered regions inside ForOrdered loops.
 type OrderedCtx = core.OrderedCtx
 

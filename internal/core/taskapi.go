@@ -186,9 +186,23 @@ func (t *Thread) parentUnit() *task.Unit {
 // resolves the implicit-task Thread cached on the team slot, arms a
 // recycled per-member task Thread as the body's context, and runs the
 // payload carried in Unit.User — no per-spawn closure, no per-execution
-// Thread allocation. Installed once per Runtime (NewRuntime).
+// Thread allocation. Installed once per Runtime (NewRuntime). A body that
+// panics is contained as a region body is (kmp.Team.Abort), so the task
+// retires normally and the master rethrows the value after the join.
 func (r *Runtime) taskExec(p *task.Pool, u *task.Unit, tid int) {
 	tm, _ := p.Owner().(*kmp.Team)
+	var base *Thread // the implicit-task Thread whose context stack tt is on
+	defer func() {
+		if base != nil {
+			base.popTaskThread()
+		}
+		if v := recover(); v != nil {
+			if tm == nil {
+				panic(v) // no team, no join to rethrow it at
+			}
+			tm.Abort(v)
+		}
+	}()
 	if u.Loop() {
 		// Loop-form taskloop chunk: the body takes iteration indices, not
 		// a Thread, so no context is needed at all.
@@ -201,14 +215,12 @@ func (r *Runtime) taskExec(p *task.Pool, u *task.Unit, tid int) {
 		}
 		return
 	}
-	var base *Thread
 	if tm != nil {
 		base, _ = (*tm.Ctx(tid)).(*Thread)
 	}
 	var tt *Thread
 	if base != nil {
 		tt = base.pushTaskThread()
-		defer base.popTaskThread()
 	} else {
 		tt = new(Thread) // no cached implicit-task context; rare, cold path
 	}
@@ -262,6 +274,9 @@ func (t *Thread) spawnTask(cfg *taskConfig, so task.SpawnOpts) {
 	so.Final = cfg.final || parent.Final()
 	undeferred := so.Final || (cfg.hasIf && !cfg.ifClause)
 	pool := t.team.Tasks()
+	if undeferred {
+		t.noReplay()
+	}
 	switch {
 	case undeferred && len(cfg.deps) == 0:
 		pool.RunInline(t.tid, parent, t.curGroup, so, nil)
@@ -278,6 +293,7 @@ func (t *Thread) Taskwait() {
 	if t.team == nil {
 		return
 	}
+	t.noReplay()
 	t.team.Tasks().WaitChildren(t.tid, t.parentUnit())
 }
 
@@ -310,6 +326,7 @@ func (t *Thread) Taskgroup(fn func()) {
 		fn()
 		return
 	}
+	t.noReplay()
 	prev := t.curGroup
 	g := t.taskgroupBegin()
 	fn()
@@ -322,6 +339,7 @@ func (t *Thread) Taskyield() {
 	if t.team == nil {
 		return
 	}
+	t.noReplay()
 	if !t.team.Tasks().RunOne(t.tid) {
 		runtime.Gosched()
 	}
@@ -346,6 +364,7 @@ func (t *Thread) Taskloop(n int, grainsize int, body func(i int), opts ...TaskOp
 		}
 		return
 	}
+	t.noReplay()
 	var cfg taskConfig
 	if len(opts) > 0 {
 		cfg = t.applyTaskOpts(opts)

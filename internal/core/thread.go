@@ -31,6 +31,9 @@ type Thread struct {
 	rootTask *task.Unit
 	// curGroup is the innermost enclosing taskgroup, if any.
 	curGroup *task.Group
+	// graph is the task graph this context is recording, nil outside a
+	// taskgraph's first encounter (taskgraph.go).
+	graph *task.Graph
 	// nestScratch is the reusable trips+ix buffer of the collapsed-loop
 	// constructs (ForNest, ForDoacross); Thread contexts are recycled with
 	// their team, so steady-state collapsed loops allocate nothing here.
@@ -131,6 +134,7 @@ func (t *Thread) Barrier() {
 	if t.team == nil {
 		return
 	}
+	t.noReplay()
 	t.team.Barrier(t.tid)
 }
 

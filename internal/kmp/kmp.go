@@ -723,11 +723,20 @@ func (tm *Team) invoke(tid int) { tm.invokeMicro(tid, tm.micro) }
 func (tm *Team) invokeMicro(tid int, micro func(tm *Team, tid int)) {
 	defer func() {
 		if r := recover(); r != nil {
-			tm.panicVal.CompareAndSwap(nil, &regionPanic{val: r})
-			tm.cancelled.Store(true)
+			tm.Abort(r)
 		}
 	}()
 	micro(tm, tid)
+}
+
+// Abort records v as the region's panic, unless a member or task recorded
+// one first, and cancels the region. The master rethrows the first value
+// after the join. The embedding layer calls it for a task body that
+// panicked, so the task can retire normally instead of unwinding past the
+// task pool's accounting.
+func (tm *Team) Abort(v any) {
+	tm.panicVal.CompareAndSwap(nil, &regionPanic{val: v})
+	tm.cancelled.Store(true)
 }
 
 // rethrow re-panics on the master with the first region-body panic, if any.

@@ -64,10 +64,12 @@ type Dep struct {
 
 // depRef names one incarnation of a predecessor Unit. The epoch pins the
 // incarnation: if it no longer matches, that task completed (and the Unit
-// was recycled), so no edge is needed.
+// was recycled), so no edge is needed. node is the incarnation's node in
+// the task graph its parent was recording (1-based), 0 outside a record.
 type depRef struct {
 	u     *Unit
 	epoch uint64
+	node  int32
 }
 
 // depState is one address's entry in the dephash: the last out/inout task
@@ -85,6 +87,9 @@ type depState struct {
 type depMap struct {
 	slots []depSlot
 	used  int
+	// rec is the task graph the parent is recording its children into,
+	// nil when it records none (graph.go).
+	rec *Graph
 }
 
 type depSlot struct {
@@ -155,7 +160,9 @@ type depNode struct {
 	npred atomic.Int32
 	// mu guards succ and orders epoch retirement: addSuccessor
 	// (registering thread) vs releaseSuccessors (completing thread, any).
-	mu   sync.Mutex
+	mu sync.Mutex
+	// node is the graph node a replayed task runs (graph.go).
+	node int32
 	succ []*Unit
 }
 
@@ -185,18 +192,23 @@ func addSuccessor(pred depRef, s *Unit) {
 
 // register wires u's dependence edges into parent's dephash. Called on the
 // spawning thread with the registration guard (npred == 1) already held.
-func (p *Pool) register(tid int, parent *Unit, u *Unit, deps []Dep) {
+// node is u's node in the graph parent is recording, if it records one.
+func (p *Pool) register(tid int, parent *Unit, u *Unit, deps []Dep, node int32) {
 	if parent.depmap == nil {
 		parent.depmap = &depMap{}
 	}
 	m := parent.depmap
-	ref := depRef{u: u, epoch: u.epoch.Load()}
+	ref := depRef{u: u, epoch: u.epoch.Load(), node: node}
+	rec := m.rec
 	alloc := func() *depState { return p.allocState(tid) }
 	for _, d := range deps {
 		if d.Addr == 0 {
 			panic("task: nil dependence address")
 		}
 		st := m.lookup(d.Addr, alloc)
+		if rec != nil {
+			rec.preds(st, d.Kind, node)
+		}
 		switch d.Kind {
 		case DepIn:
 			if st.lastOut.u != nil {

@@ -67,6 +67,9 @@ type Unit struct {
 	// depmap is the dephash ordering this task's children; lazily created
 	// when a child is spawned with depend clauses (see dep.go).
 	depmap *depMap
+	// graph is the task graph whose node dep.node a replayed task runs
+	// (graph.go).
+	graph *Graph
 }
 
 // Pool returns the pool this task belongs to.
@@ -263,6 +266,10 @@ func (p *Pool) SpawnOpt(tid int, parent *Unit, group *Group, o SpawnOpts, fn fun
 		group.count.Add(1)
 	}
 	p.outstanding.Add(1)
+	var node int32
+	if parent != nil && parent.depmap != nil && parent.depmap.rec != nil {
+		node = parent.depmap.rec.add(u, &o)
+	}
 	if len(o.Deps) == 0 {
 		p.ready(tid, u)
 		p.throttle(tid)
@@ -275,7 +282,7 @@ func (p *Pool) SpawnOpt(tid int, parent *Unit, group *Group, o SpawnOpts, fn fun
 	// Registration guard: the +1 keeps concurrent predecessor completions
 	// from releasing the task while its edges are still being added.
 	u.dep.npred.Store(1)
-	p.register(tid, parent, u, o.Deps)
+	p.register(tid, parent, u, o.Deps, node)
 	if u.dep.npred.Add(-1) == 0 {
 		p.ready(tid, u)
 	}
@@ -391,6 +398,10 @@ func (p *Pool) execute(tid int, u *Unit) {
 		}
 		var next *Unit
 		if u.hasDeps {
+			if u.graph != nil {
+				u = p.graphDone(tid, u) // does its own accounting
+				continue
+			}
 			next = p.releaseSuccessors(tid, u)
 		}
 		u.done.Store(true)

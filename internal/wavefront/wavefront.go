@@ -12,8 +12,9 @@
 // goroutine pipeline (barrier per anti-diagonal, the best structure
 // available without dependencies), OMP runs one task per tile per sweep
 // with depend(in) on the north/west tiles' tokens and depend(inout) on the
-// tile's own, and Doacross expresses the same dependences at loop level
-// via ordered(2) + depend(sink)/depend(source).
+// tile's own, recorded once as a taskgraph and replayed for every later
+// sweep, and Doacross expresses the same dependences at loop level via
+// ordered(2) + depend(sink)/depend(source).
 //
 // All variants apply updates in the same per-cell order, so their results
 // are bit-identical and Checksum equality is exact.
@@ -153,14 +154,17 @@ func Doacross(rt *core.Runtime, s Spec, g []float64) {
 	})
 }
 
-// OMP runs the wavefront on the gomp runtime: the master spawns one task
+// OMP runs the wavefront on the gomp runtime: the master generates one task
 // per tile per sweep with depend clauses on per-tile tokens, and the other
 // team members execute the released tasks from the region-end barrier (a
-// task scheduling point). Consecutive sweeps chain through the tokens too
-// — the inout dependence on a tile's own token serialises it across
-// sweeps — so the whole multi-sweep DAG is in flight at once: sweep k+1's
-// top-left corner starts while sweep k's bottom-right is still draining,
-// which a barrier-per-diagonal structure cannot do.
+// task scheduling point) while the master executes them from the end of
+// each sweep. Every sweep builds the same DAG, so each is one encounter of
+// a taskgraph: sweep 0 runs the spawn loop and records the tasks and their
+// edges, and the later sweeps replay the recorded graph without spawning,
+// building closures or registering dependences again. A taskgraph waits
+// for its tasks, so sweeps no longer overlap: the join after each sweep
+// orders it before the next one, which the inout dependence on a tile's own
+// token did when all the sweeps were in flight at once.
 func OMP(rt *core.Runtime, s Spec, g []float64) {
 	nb := s.blocks()
 	tok := make([]byte, nb*nb)
@@ -168,7 +172,8 @@ func OMP(rt *core.Runtime, s Spec, g []float64) {
 		if t.Num() != 0 {
 			return // non-masters proceed to the barrier and execute tasks
 		}
-		for sweep := 0; sweep < s.Sweeps; sweep++ {
+		var tg core.Taskgraph
+		sweep := func() {
 			for bi := 0; bi < nb; bi++ {
 				for bj := 0; bj < nb; bj++ {
 					bi, bj := bi, bj
@@ -185,6 +190,9 @@ func OMP(rt *core.Runtime, s Spec, g []float64) {
 					}, opts...)
 				}
 			}
+		}
+		for k := 0; k < s.Sweeps; k++ {
+			t.Taskgraph(&tg, sweep)
 		}
 	})
 }

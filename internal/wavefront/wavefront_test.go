@@ -63,6 +63,23 @@ func TestDoacrossMatchesSerialExactly(t *testing.T) {
 	}
 }
 
+// TestTaskgraphSweepsMatchSerial checks every cell, not just the checksum,
+// of OMP's recorded first sweep and replayed later ones.
+func TestTaskgraphSweepsMatchSerial(t *testing.T) {
+	s := Spec{N: 129, Block: 16, Sweeps: 5}
+	want := NewGrid(s)
+	Serial(s, want)
+	for threads := 1; threads <= 4; threads++ {
+		g := NewGrid(s)
+		OMP(newRuntime(threads), s, g)
+		for i := range g {
+			if g[i] != want[i] {
+				t.Fatalf("OMP(threads=%d): cell %d = %v, want %v", threads, i, g[i], want[i])
+			}
+		}
+	}
+}
+
 func TestDoacrossTinyGridsAndRaggedTiles(t *testing.T) {
 	for _, s := range []Spec{
 		{N: 2, Block: 64, Sweeps: 2},
@@ -91,5 +108,20 @@ func TestTinyGridsAndRaggedTiles(t *testing.T) {
 		if got := Checksum(g); got != want {
 			t.Errorf("OMP %+v checksum %v, want %v", s, got, want)
 		}
+	}
+}
+
+// BenchmarkOMP times OMP at the task-dag benchmark's size (a 1024² grid in
+// 16² tiles: 4096 tasks a sweep, eight sweeps) on two threads and reports
+// its allocations per call.
+func BenchmarkOMP(b *testing.B) {
+	s := Spec{N: 1024, Block: 16, Sweeps: 8}
+	rt := newRuntime(2)
+	base := NewGrid(s)
+	g := make([]float64, len(base))
+	b.ReportAllocs()
+	for b.Loop() {
+		copy(g, base)
+		OMP(rt, s, g)
 	}
 }
