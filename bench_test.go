@@ -10,7 +10,6 @@
 //     worksharing bodies.
 //   - BenchmarkOverhead_Taskloop, _Doacross*, _TargetData: constructs with
 //     no bench probe.
-//   - BenchmarkTasks_Tree: the unbalanced task tree, oracle-checked.
 //
 // CI runs them at -benchtime=1x as a smoke.
 package gomp_test
@@ -24,7 +23,6 @@ import (
 	"repro/internal/icv"
 	"repro/internal/mandelbrot"
 	"repro/internal/npb"
-	"repro/internal/taskbench"
 )
 
 func benchRuntime(n int) *gomp.Runtime {
@@ -171,19 +169,6 @@ func BenchmarkOverhead_Taskloop(b *testing.B) {
 			t.Taskloop(64, 16, body)
 		}
 	})
-}
-
-// BenchmarkTasks_Tree spawns the unbalanced task tree and checks its node
-// count against the serial oracle.
-func BenchmarkTasks_Tree(b *testing.B) {
-	rt := benchRuntime(maxThreads())
-	want := taskbench.TreeSerial(32, 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := taskbench.Tree(rt, 32, 12, 5); got != want {
-			b.Fatalf("tree(32,12) = %d, want %d", got, want)
-		}
-	}
 }
 
 // BenchmarkOverhead_Doacross prices the doacross flag protocol at its worst

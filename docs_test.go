@@ -7,8 +7,13 @@ package gomp_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -210,4 +215,92 @@ func TestDESIGNSemanticAnalysis(t *testing.T) {
 			t.Errorf("DESIGN.md does not cover %q", want)
 		}
 	}
+}
+
+// TestREADMEListsEveryAPIRoutine keeps README.md's "OpenMP API routines"
+// table and the reachability gate's API root (testdata/reachroot) one
+// list: every (OpenMP name, GoMP spelling) pair of the root's table must be
+// a row of the README table, and every row an entry of the root.
+func TestREADMEListsEveryAPIRoutine(t *testing.T) {
+	root := apiRootEntries(t)
+	if len(root) == 0 {
+		t.Fatal("testdata/reachroot lists no API entry")
+	}
+	md := readme(t)
+	const heading = "## OpenMP API routines"
+	i := strings.Index(md, heading)
+	if i < 0 {
+		t.Fatalf("README.md lacks the %q section", heading)
+	}
+	section := md[i+len(heading):]
+	if j := strings.Index(section, "\n## "); j >= 0 {
+		section = section[:j]
+	}
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "| "), " | ")
+		if len(cells) != 2 {
+			t.Errorf("README.md API row %q does not have two cells", line)
+			continue
+		}
+		for k, c := range cells {
+			cells[k] = strings.ReplaceAll(strings.Trim(c, "`"), `\|`, "|")
+		}
+		rows = append(rows, cells[0]+" = "+cells[1])
+	}
+	for _, e := range setDiff(root, rows) {
+		t.Errorf("testdata/reachroot lists %s, which README.md's API table lacks", e)
+	}
+	for _, e := range setDiff(rows, root) {
+		t.Errorf("README.md's API table lists %s, which testdata/reachroot lacks", e)
+	}
+}
+
+// apiRootEntries reads the api table of testdata/reachroot/main.go as
+// "OpenMP name = GoMP spelling" strings, the spelling without the package
+// qualifier or type arguments.
+func apiRootEntries(t *testing.T) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "testdata/reachroot/main.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok || len(spec.Names) != 1 || spec.Names[0].Name != "api" || len(spec.Values) != 1 {
+			return true
+		}
+		for _, elt := range spec.Values[0].(*ast.CompositeLit).Elts {
+			pair := elt.(*ast.CompositeLit).Elts
+			name, err := strconv.Unquote(pair[0].(*ast.BasicLit).Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spelling := strings.ReplaceAll(stripTypeArgs(types.ExprString(pair[1])), "gomp.", "")
+			entries = append(entries, name+" = "+spelling)
+		}
+		return false
+	})
+	return entries
+}
+
+// setDiff returns the elements of a that b lacks, counting repeats.
+func setDiff(a, b []string) []string {
+	have := map[string]int{}
+	for _, s := range b {
+		have[s]++
+	}
+	var out []string
+	for _, s := range a {
+		if have[s] > 0 {
+			have[s]--
+			continue
+		}
+		out = append(out, s)
+	}
+	return out
 }

@@ -1,8 +1,8 @@
 // Package barrier implements team barriers — the synchronisation point at
 // the end of every parallel region and (non-nowait) worksharing construct.
 //
-// Three classic algorithms are provided so the A1 ablation in DESIGN.md can
-// compare them:
+// Three classic algorithms are provided; the runtime's teams use
+// Dissemination, and the benchmark's barrier probe times all three:
 //
 //   - Central: a single sense-reversing counter. O(1) state, but the counter
 //     cache line is contended by every arriving thread, so it degrades as
@@ -41,19 +41,16 @@ type Work interface {
 // Barrier synchronises a fixed team of n participants. Wait blocks until all
 // n participants of the current phase have arrived.
 type Barrier interface {
-	// Wait blocks participant id (0 <= id < N()) until the whole team
+	// Wait blocks participant id (0 <= id < n) until the whole team
 	// has arrived.
 	Wait(id int)
 	// WaitWork is Wait, but the participant executes units of w while it
 	// waits instead of only spinning — the barrier-as-task-scheduling-
 	// point behaviour. A nil w degenerates to Wait.
 	WaitWork(id int, w Work)
-	// N returns the number of participants.
-	N() int
 }
 
-// Kind names a barrier algorithm; a pool builds its teams' barriers of the
-// kind set with kmp's Pool.SetBarrierKind.
+// Kind names a barrier algorithm.
 type Kind int
 
 const (
@@ -76,20 +73,6 @@ func (k Kind) String() string {
 		return "dissemination"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// ParseKind parses a barrier algorithm name.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "central":
-		return CentralKind, nil
-	case "tree":
-		return TreeKind, nil
-	case "dissemination":
-		return DisseminationKind, nil
-	default:
-		return 0, fmt.Errorf("barrier: unknown kind %q", s)
 	}
 }
 
@@ -124,9 +107,6 @@ func NewCentral(n int, policy icv.WaitPolicy) *Central {
 	}
 	return &Central{n: n, policy: policy, local: make([]paddedU32, n)}
 }
-
-// N returns the number of participants.
-func (b *Central) N() int { return b.n }
 
 // Wait implements Barrier.
 func (b *Central) Wait(id int) { b.WaitWork(id, nil) }
@@ -175,9 +155,6 @@ func NewTree(n int, policy icv.WaitPolicy) *Tree {
 		local:  make([]paddedU32, n),
 	}
 }
-
-// N returns the number of participants.
-func (b *Tree) N() int { return b.n }
 
 // children returns the number of tree children of participant id.
 func (b *Tree) children(id int) int {
@@ -245,9 +222,6 @@ func NewDissemination(n int, policy icv.WaitPolicy) *Dissemination {
 	}
 	return &Dissemination{n: n, rounds: rounds, policy: policy, flags: flags, phase: make([]paddedU32, n)}
 }
-
-// N returns the number of participants.
-func (b *Dissemination) N() int { return b.n }
 
 // Wait implements Barrier.
 func (b *Dissemination) Wait(id int) { b.WaitWork(id, nil) }

@@ -72,9 +72,6 @@ func Default() *Runtime {
 	return defaultRT
 }
 
-// ICVs exposes the runtime's internal control variables.
-func (r *Runtime) ICVs() *icv.Set { return r.pool.ICVs() }
-
 // Pool exposes the underlying fork-join pool (ablation hooks).
 func (r *Runtime) Pool() *kmp.Pool { return r.pool }
 

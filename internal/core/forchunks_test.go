@@ -105,18 +105,3 @@ func TestForChunksStaticMatchesBlockBounds(t *testing.T) {
 		t.Fatalf("blocks end at %d", prev)
 	}
 }
-
-// TestForChunksRejectsOrdered: chunk-granularity bodies cannot honour
-// per-iteration ordered turns, so the clause must fail loudly instead of
-// being silently dropped (the splitOpts convention).
-func TestForChunksRejectsOrdered(t *testing.T) {
-	rt := testRuntime(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic when ForChunks receives the ordered clause")
-		}
-	}()
-	rt.Parallel(func(th *Thread) {
-		th.ForChunks(10, func(lo, hi int) {}, OrderedOpt())
-	})
-}

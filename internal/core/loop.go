@@ -35,12 +35,6 @@ func NoWait() ForOption {
 	return func(c forConfig) forConfig { c.nowait = true; return c }
 }
 
-// OrderedOpt is the ordered clause; loop bodies may then use Thread.Ordered
-// via the ForOrdered variant.
-func OrderedOpt() ForOption {
-	return func(c forConfig) forConfig { c.ordered = true; return c }
-}
-
 func buildForConfig(opts []ForOption) forConfig {
 	var cfg forConfig
 	for _, o := range opts {
@@ -130,12 +124,6 @@ func (t *Thread) nestFrame(depth int) (trips, ix []int64, base int) {
 // iterations.
 func (t *Thread) ForChunks(n int, body func(lo, hi int), opts ...ForOption) {
 	cfg := buildForConfig(opts)
-	if cfg.ordered {
-		// Matching splitOpts' loud-failure convention: silently dropping
-		// the clause would let out-of-order chunk bodies masquerade as an
-		// ordered loop.
-		panic("gomp: ForChunks cannot honour the ordered clause (ordered requires per-iteration granularity); use ForOrdered")
-	}
 	w := t.walk(int64(n), cfg)
 	for lo, hi, ok := w.next(); ok; lo, hi, ok = w.next() {
 		body(int(lo), int(hi))

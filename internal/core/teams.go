@@ -32,9 +32,6 @@ func (tc *TeamsCtx) TeamNum() int { return tc.teamNum }
 // NumTeams returns the league size (omp_get_num_teams).
 func (tc *TeamsCtx) NumTeams() int { return tc.numTeams }
 
-// Runtime returns the owning runtime.
-func (tc *TeamsCtx) Runtime() *Runtime { return tc.rt }
-
 // Teams runs body once per team on a league of numTeams initial threads
 // and waits for the league to complete — the teams construct. numTeams <= 0
 // selects a league of one team per available processor's worth

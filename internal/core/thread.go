@@ -125,9 +125,6 @@ func (t *Thread) ActiveLevel() int {
 	return t.team.ActiveLevel()
 }
 
-// Runtime returns the owning runtime.
-func (t *Thread) Runtime() *Runtime { return t.rt }
-
 // Barrier executes a team barrier (the barrier directive). Outside a
 // parallel region it is a no-op, as the spec prescribes for a team of one.
 func (t *Thread) Barrier() {

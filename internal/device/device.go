@@ -2,7 +2,7 @@
 // libomptarget, the LLVM/OpenMP plugin host that backs the target construct
 // family. The paper's runtime stops at host constructs; this layer is the
 // ROADMAP's "many backends, scaled" step: a small Device interface
-// (Alloc/MapTo/MapFrom/Exec/Sync) behind a registry of devices, each with
+// (Alloc/MapTo/MapFrom/Exec) behind a registry of devices, each with
 // its own ICV set, plus the reference-counted present table that implements
 // the map clause data environment (the tgt_target_data analog).
 //
@@ -30,7 +30,6 @@ package device
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -135,19 +134,6 @@ func (e *Env) Get(name string) any {
 	return e.vals[name]
 }
 
-// Has reports whether name is mapped.
-func (e *Env) Has(name string) bool { _, ok := e.vals[name]; return ok }
-
-// Names returns the mapped names, sorted.
-func (e *Env) Names() []string {
-	out := make([]string, 0, len(e.vals))
-	for k := range e.vals {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Kernel is device-executable code: the outlined body of a target region.
 // It receives the executing device's runtime (for teams/parallel
 // constructs), the launch configuration, and the device-side data
@@ -156,8 +142,8 @@ func (e *Env) Names() []string {
 type Kernel func(rt *core.Runtime, cfg Launch, env *Env)
 
 // Device is one offload target. Alloc/MapTo/MapFrom/Free manage device
-// buffers shaped like host objects, Exec launches a kernel over mapped
-// buffers, and Sync drains backend-internal asynchrony.
+// buffers shaped like host objects, and Exec launches a kernel over mapped
+// buffers.
 type Device interface {
 	// Name identifies the backend ("host", "subprocess", ...).
 	Name() string
@@ -175,8 +161,6 @@ type Device interface {
 	// Exec runs the named kernel (or the closure k, in-process only) with
 	// the given launch configuration and data environment.
 	Exec(name string, k Kernel, cfg Launch, args []Arg) error
-	// Sync blocks until the device's outstanding work completes.
-	Sync() error
 	// Close tears the device down; it is unusable afterwards.
 	Close() error
 }

@@ -103,12 +103,6 @@ func (h *hostDevice) Exec(name string, k Kernel, cfg Launch, args []Arg) (err er
 	return nil
 }
 
-// Sync waits for the dedicated runtime's workers to go quiescent.
-func (h *hostDevice) Sync() error {
-	h.rt.Quiesce()
-	return nil
-}
-
 // Close shuts the dedicated pool down.
 func (h *hostDevice) Close() error {
 	h.rt.Pool().Shutdown()

@@ -71,17 +71,6 @@ func (m *Manager) NumDevices() int {
 	return len(m.entries)
 }
 
-// DeviceICVs returns device id's own ICV set (the live set, not a copy —
-// callers adjust a device by mutating it before launching work there).
-func (m *Manager) DeviceICVs(id int) (*icv.Set, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if id < 0 || id >= len(m.entries) {
-		return nil, fmt.Errorf("%w: %d (have %d devices)", ErrBadDevice, id, len(m.entries))
-	}
-	return m.entries[id].icvs, nil
-}
-
 // SetDefaultDevice sets default-device-var — omp_set_default_device.
 func (m *Manager) SetDefaultDevice(id int) error {
 	m.mu.Lock()

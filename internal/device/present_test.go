@@ -28,7 +28,6 @@ func (m *mockDev) Free(p Ptr) error                { m.frees = append(m.frees, p
 func (m *mockDev) Exec(name string, k Kernel, cfg Launch, args []Arg) error {
 	return fmt.Errorf("mock: no exec")
 }
-func (m *mockDev) Sync() error  { return nil }
 func (m *mockDev) Close() error { return nil }
 
 // len reports the live entry count.

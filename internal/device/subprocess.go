@@ -534,13 +534,6 @@ func (s *subprocessDevice) Exec(name string, k Kernel, cfg Launch, args []Arg) e
 	return s.call(&request{op: opExec, name: name, cfg: cfg, args: s.args}, nil)
 }
 
-// Sync has nothing to drain; it reports the sticky failure, if any.
-func (s *subprocessDevice) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.broken
-}
-
 // Close ends the worker (closing stdin EOFs its loop) and the arena.
 func (s *subprocessDevice) Close() error {
 	s.mu.Lock()

@@ -235,21 +235,29 @@ rows:
 }
 
 // partial reports a spelling that follows r's committing prefix but read
-// got, at wstart, in place of its word n. The remaining words of r are
-// consumed. A row with one word after its prefix names what was expected;
-// a longer one says that only the combined spelling is supported.
+// got, at wstart, in place of its word n. A row with one word after its
+// prefix names what was expected; a longer one says that only the combined
+// spelling is supported. When got is a clause keyword the words are missing
+// and the clauses have begun, so p goes back to got for the clause loop;
+// otherwise the remaining words of r are consumed.
 func (p *parser) partial(r *constructRow, start, wstart, n int, got string) {
 	words := strings.Fields(r.spelling)
-	for range words[n+1:] {
-		p.ident()
+	clause := clauseNamed(got) != nil
+	if !clause {
+		for range words[n+1:] {
+			p.ident()
+		}
 	}
 	lead := strings.Join(words[:r.prefix], " ")
 	if len(words) == r.prefix+1 {
 		p.errorf(DiagSyntax, wstart, max(len(got), 1), "expected '%s', got '%s %s'", r.spelling, lead, got)
-		return
+	} else {
+		from := start + len(words[0])
+		p.errorf(DiagSyntax, from, p.pos-from, "after '%s' only the combined '%s' is supported", lead, r.spelling)
 	}
-	from := start + len(words[0])
-	p.errorf(DiagSyntax, from, p.pos-from, "after '%s' only the combined '%s' is supported", lead, r.spelling)
+	if clause {
+		p.pos = wstart
+	}
 }
 
 // criticalName parses critical's optional "(name)".
@@ -281,25 +289,39 @@ func (p *parser) flushList(*Directive) {
 }
 
 // cancelType parses the construct type of cancel and cancellation point.
+// A clause keyword in its place means the type is missing; the word is
+// left for the clause loop.
 func (p *parser) cancelType(d *Directive) {
 	p.skipSpace()
 	start := p.pos
 	word := p.ident()
 	if !hasWord(cancelTypes, word) {
-		p.errorf(DiagSyntax, start, max(len(word), 1), "cancel: unknown construct type %q", word)
+		p.errorf(DiagSyntax, start, max(len(word), 1), "%s: unknown construct type %q", d.Construct, word)
+		if clauseNamed(word) != nil {
+			p.pos = start
+		}
 		return
 	}
 	d.Clauses = append(d.Clauses, &NameClause{span{start, p.pos - start}, word})
 }
 
+// clauseNamed returns the row of the clause keyword word, nil if word is
+// not one.
+func clauseNamed(word string) *clauseRow {
+	for i := range clauses {
+		if r := &clauses[i]; r.name == word && r.parse != nil {
+			return r
+		}
+	}
+	return nil
+}
+
 // parseClause parses one clause beginning with keyword word at byte offset
 // start. On failure the diagnostic has already been recorded.
 func (p *parser) parseClause(start int, word string) (Clause, bool) {
-	for i := range clauses {
-		if r := &clauses[i]; r.name == word && r.parse != nil {
-			p.start, p.word = start, word
-			return r.parse(p, r.kind)
-		}
+	if r := clauseNamed(word); r != nil {
+		p.start, p.word = start, word
+		return r.parse(p, r.kind)
 	}
 	p.errorf(DiagUnknownClause, start, len(word), "unknown clause %q", word)
 	return nil, false

@@ -579,3 +579,36 @@ func TestDoacrossValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelTypeNamesConstruct: a bad construct type is reported under the
+// construct that was written.
+func TestCancelTypeNamesConstruct(t *testing.T) {
+	for body, want := range map[string]string{
+		"cancel bogus":             `cancel: unknown construct type "bogus"`,
+		"cancellation point bogus": `cancellation point: unknown construct type "bogus"`,
+	} {
+		_, diags := ParseAt(body, Pos{})
+		if len(diags) != 1 || diags[0].Msg != want {
+			t.Errorf("ParseAt(%q) = %v, want the one diagnostic %q", body, diags, want)
+		}
+	}
+}
+
+// TestMissingWordBeforeClause: a clause keyword read in place of a missing
+// construct word is reported once and then parsed as the clause it is; any
+// further diagnostic is the clause's own on that construct.
+func TestMissingWordBeforeClause(t *testing.T) {
+	for body, want := range map[string]int{
+		"target enter map(to: a)": 1,
+		"target teams map(to: a)": 1,
+		"cancel map(to: a)":       2, // and map is not valid on cancel
+	} {
+		d, diags := ParseAt(body, Pos{})
+		if len(diags) != want {
+			t.Errorf("ParseAt(%q): %d diagnostics %v, want %d", body, len(diags), diags, want)
+		}
+		if d == nil || len(d.Maps()) != 1 {
+			t.Errorf("ParseAt(%q): map(to: a) was not parsed as a clause", body)
+		}
+	}
+}

@@ -324,12 +324,10 @@ func Default() *Set {
 	}
 }
 
-// NumThreadsAt returns the nthreads-var for a given nesting level, applying
-// the OpenMP rule that levels beyond the list reuse the final entry.
-func (s *Set) NumThreadsAt(level int) int { return NumThreadsForLevel(s.NumThreads, level) }
-
-// NumThreadsForLevel is NumThreadsAt over a bare nthreads-var list — the
-// form the kmp layer's atomic fork-ICV snapshots read, where no Set exists.
+// NumThreadsForLevel returns the nthreads-var entry for a given nesting
+// level, applying the OpenMP rule that levels beyond the list reuse the
+// final entry. It takes a bare nthreads-var list — the form the kmp layer's
+// atomic fork-ICV snapshots read, where no Set exists.
 func NumThreadsForLevel(list []int, level int) int {
 	if len(list) == 0 {
 		return runtime.GOMAXPROCS(0)

@@ -28,14 +28,6 @@ func Mangle(name string) string {
 	return strings.ToLower(name) + "_"
 }
 
-// Demangle inverts Mangle; ok is false if sym is not a mangled name.
-func Demangle(sym string) (string, bool) {
-	if !strings.HasSuffix(sym, "_") || len(sym) < 2 {
-		return "", false
-	}
-	return sym[:len(sym)-1], true
-}
-
 // Registry is a table of Fortran-convention procedures, keyed by mangled
 // symbol — the stand-in for the symbol table of a linked Fortran object.
 type Registry struct {

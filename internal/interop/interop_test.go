@@ -3,7 +3,6 @@ package interop
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestMangle(t *testing.T) {
@@ -16,31 +15,6 @@ func TestMangle(t *testing.T) {
 		if got := Mangle(in); got != want {
 			t.Errorf("Mangle(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestDemangle(t *testing.T) {
-	if name, ok := Demangle("daxpy_"); !ok || name != "daxpy" {
-		t.Errorf("Demangle(daxpy_) = %q, %v", name, ok)
-	}
-	for _, bad := range []string{"daxpy", "_", ""} {
-		if _, ok := Demangle(bad); ok {
-			t.Errorf("Demangle(%q) should fail", bad)
-		}
-	}
-}
-
-func TestMangleRoundTripProperty(t *testing.T) {
-	f := func(s string) bool {
-		lower := strings.ToLower(s)
-		if lower == "" {
-			return true // empty names are not valid procedures
-		}
-		got, ok := Demangle(Mangle(lower))
-		return ok && got == lower
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

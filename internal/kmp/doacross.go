@@ -128,6 +128,3 @@ func (e *WSEntry) DoacrossWait(k int64, tm *Team) bool {
 func (e *WSEntry) DoacrossPost(k int64) {
 	e.doaFlags[k*int64(e.doaPad)].Store(1)
 }
-
-// DoacrossDepth returns the nest depth of the installed doacross state.
-func (e *WSEntry) DoacrossDepth() int { return len(e.doaLoops) }

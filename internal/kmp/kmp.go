@@ -38,8 +38,7 @@ import (
 // Pool is a device-wide thread pool plus the ICVs governing it. The zero
 // value is not usable; call NewPool.
 type Pool struct {
-	icvs        *icv.Set
-	barrierKind barrier.Kind
+	icvs *icv.Set
 
 	// taskExec is the embedding layer's executor for closure-free task
 	// payloads, copied into every team's task pool at construction (see
@@ -153,7 +152,7 @@ func NewPool(icvs *icv.Set) *Pool {
 	if icvs == nil {
 		icvs = icv.Default()
 	}
-	p := &Pool{icvs: icvs, barrierKind: barrier.DisseminationKind}
+	p := &Pool{icvs: icvs}
 	p.initShards(icvs.TeamShards)
 	return p
 }
@@ -165,14 +164,6 @@ func (p *Pool) SetTaskExec(fn task.ExecFunc) { p.taskExec = fn }
 
 // ICVs returns the pool's internal control variables.
 func (p *Pool) ICVs() *icv.Set { return p.icvs }
-
-// SetBarrierKind selects the barrier algorithm used by new teams (the A1
-// ablation toggles this). A cached hot team built with a different kind is
-// dismantled and rebuilt on its next fork.
-func (p *Pool) SetBarrierKind(k barrier.Kind) { p.barrierKind = k }
-
-// BarrierKind returns the barrier algorithm for new teams.
-func (p *Pool) BarrierKind() barrier.Kind { return p.barrierKind }
 
 // worker is a persistent goroutine that executes one microtask per dispatch
 // cycle. While bound to a (possibly cached) team it parks on its door.
@@ -349,7 +340,6 @@ type Team struct {
 	level       int
 	activeLevel int
 	bar         barrier.Barrier
-	barKind     barrier.Kind
 	waitPolicy  icv.WaitPolicy
 	ws          wsRing
 	tasks       *task.Pool
@@ -404,12 +394,6 @@ func (t *Team) Level() int { return t.level }
 
 // ActiveLevel returns the number of enclosing active (n>1) regions.
 func (t *Team) ActiveLevel() int { return t.activeLevel }
-
-// Parent returns the enclosing team, or nil at the outermost level.
-func (t *Team) Parent() *Team { return t.parent }
-
-// Pool returns the owning pool.
-func (t *Team) Pool() *Pool { return t.pool }
 
 // Tasks returns the team's explicit-task pool.
 func (t *Team) Tasks() *task.Pool { return t.tasks }
@@ -650,7 +634,6 @@ func (p *Pool) buildTeam(parent *Team, n, level, activeLevel int) *Team {
 		n:           n,
 		level:       level,
 		activeLevel: activeLevel,
-		barKind:     p.barrierKind,
 		waitPolicy:  p.icvs.Wait,
 		tasks:       task.NewPool(n),
 		gtids:       make([]int, n),
@@ -662,7 +645,7 @@ func (p *Pool) buildTeam(parent *Team, n, level, activeLevel int) *Team {
 	tm.tasks.SetGTIDs(tm.gtids)
 	tm.tasks.SetExec(p.taskExec)
 	tm.tasks.SetOwner(tm)
-	tm.bar = barrier.New(p.barrierKind, n, p.icvs.Wait)
+	tm.bar = barrier.New(barrier.DisseminationKind, n, p.icvs.Wait)
 	if n > 1 {
 		tm.workers = make([]*worker, n-1)
 		// Acquire in reverse slot order: dismantle releases workers in

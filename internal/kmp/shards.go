@@ -104,24 +104,6 @@ func (ss *shardSet) homeIndex(anchor unsafe.Pointer) uintptr {
 // initShards installs the pool's shard table (called from NewPool).
 func (p *Pool) initShards(n int) { p.shards.Store(newShardSet(n)) }
 
-// SetShards resizes the hot-team shard table (sweep/ablation hook; the
-// GOMP_TEAM_SHARDS environment variable sets the initial size). Cached
-// teams of the old table are dismantled. Resizing is not serialised against
-// in-flight forks — a fork racing the swap can reinstall its team into the
-// retired table, stranding those workers on a leaked team — so call it only
-// on a quiescent pool, as tests and benchmarks do between phases.
-func (p *Pool) SetShards(n int) {
-	old := p.shards.Swap(newShardSet(n))
-	if old != nil {
-		drainShards(p, old)
-	}
-}
-
-// Shards returns the current shard count.
-func (p *Pool) Shards() int {
-	return len(p.shards.Load().slots)
-}
-
 // drainShards dismantles every team cached in a shard table.
 func drainShards(p *Pool, ss *shardSet) {
 	for i := range ss.slots {
@@ -136,9 +118,9 @@ func drainShards(p *Pool, ss *shardSet) {
 }
 
 // matchesShape reports whether a cached team can serve a fork of size n
-// under the pool's current barrier kind and wait policy.
+// under the pool's current wait policy.
 func (p *Pool) matchesShape(tm *Team, n int) bool {
-	return tm.n == n && tm.barKind == p.barrierKind && tm.waitPolicy == p.icvs.Wait
+	return tm.n == n && tm.waitPolicy == p.icvs.Wait
 }
 
 // topTeamFor returns a ready team of size n for a top-level fork: the home

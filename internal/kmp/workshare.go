@@ -269,16 +269,3 @@ func (t *Team) Retire(seq int64, e *WSEntry) {
 	e.retired.Store(0)
 	e.owner.Store(seq + wsRingSize)
 }
-
-// LiveConstructs reports the number of construct entries some thread has
-// retired from but whose slowest thread is still inside (leak/liveness test
-// hook; 0 means the ring is quiescent).
-func (t *Team) LiveConstructs() int {
-	live := 0
-	for j := range t.ws.entries {
-		if t.ws.entries[j].retired.Load() != 0 {
-			live++
-		}
-	}
-	return live
-}

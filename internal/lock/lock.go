@@ -1,14 +1,11 @@
-// Package lock implements the OpenMP lock API (omp_init_lock /
-// omp_set_lock / omp_unset_lock / omp_test_lock and the nestable variants,
-// OpenMP 5.2 section 18.9) on top of Go primitives.
+// Package lock implements the plain OpenMP lock (omp_set_lock /
+// omp_unset_lock, OpenMP 5.2 section 18.9) on top of Go primitives; the
+// runtime's named critical sections are built on it.
 //
 // Three implementations are provided. Spin is a test-and-test-and-set lock
 // with exponential backoff — the uncontended fast path libomp uses. Ticket
 // is a FIFO-fair lock matching libomp's queuing locks. Mutex adapts
-// sync.Mutex for the passive wait policy. Nestable locks wrap any of these
-// with an owner/depth pair keyed by an explicit owner token (Go has no
-// thread identity, so the caller — the gomp runtime — supplies its global
-// thread id, exactly the gtid that libomp's nest locks record).
+// sync.Mutex for the passive wait policy.
 package lock
 
 import (
@@ -23,42 +20,11 @@ type Lock interface {
 	Set()
 	// Unset releases the lock (omp_unset_lock).
 	Unset()
-	// Test attempts to acquire without blocking and reports success
-	// (omp_test_lock).
-	Test() bool
 }
-
-// Hint mirrors omp_sync_hint for NewWithHint.
-type Hint int
-
-const (
-	// HintNone requests the default lock.
-	HintNone Hint = iota
-	// HintUncontended optimises for rare contention (spin lock).
-	HintUncontended
-	// HintContended optimises for heavy contention (ticket lock).
-	HintContended
-	// HintSpeculative and HintNonSpeculative are accepted for API
-	// completeness; Go exposes no TSX, so both select the default.
-	HintSpeculative
-	HintNonSpeculative
-)
 
 // New returns the default lock implementation (a spin lock, matching the
 // libomp default for omp_init_lock).
 func New() Lock { return &Spin{} }
-
-// NewWithHint returns a lock optimised per omp_init_lock_with_hint.
-func NewWithHint(h Hint) Lock {
-	switch h {
-	case HintContended:
-		return &Ticket{}
-	case HintUncontended:
-		return &Spin{}
-	default:
-		return &Spin{}
-	}
-}
 
 // Spin is a test-and-test-and-set spin lock with bounded exponential backoff.
 // The zero value is an unlocked lock.
@@ -93,9 +59,6 @@ func (l *Spin) Set() {
 // behaviour in OpenMP; here it simply marks the lock free.
 func (l *Spin) Unset() { l.state.Store(0) }
 
-// Test tries to acquire the lock without blocking.
-func (l *Spin) Test() bool { return l.state.CompareAndSwap(0, 1) }
-
 // Ticket is a FIFO-fair ticket lock: acquirers take a ticket and wait for
 // the grant counter to reach it. The zero value is an unlocked lock.
 type Ticket struct {
@@ -122,12 +85,6 @@ func (l *Ticket) Set() {
 // Unset releases the lock, granting the next ticket.
 func (l *Ticket) Unset() { l.grant.Add(1) }
 
-// Test tries to take the lock only if nobody is queued ahead.
-func (l *Ticket) Test() bool {
-	g := l.grant.Load()
-	return l.next.CompareAndSwap(g, g+1)
-}
-
 // Mutex adapts sync.Mutex to the Lock interface; this is the passive
 // wait-policy implementation (threads sleep instead of spinning).
 type Mutex struct {
@@ -139,74 +96,3 @@ func (l *Mutex) Set() { l.mu.Lock() }
 
 // Unset releases the lock.
 func (l *Mutex) Unset() { l.mu.Unlock() }
-
-// Test tries to acquire the lock without blocking.
-func (l *Mutex) Test() bool { return l.mu.TryLock() }
-
-// NoOwner is the owner token meaning "held by nobody".
-const NoOwner = -1
-
-// Nestable is the OpenMP nestable lock: the owning thread may re-acquire it,
-// incrementing a nesting depth. Owner identity is an int token; the gomp
-// runtime passes the global thread id.
-type Nestable struct {
-	inner Lock
-	owner atomic.Int64
-	depth int // guarded by inner while owned
-}
-
-// NewNestable wraps a fresh default lock in nestable semantics
-// (omp_init_nest_lock).
-func NewNestable() *Nestable { return NewNestableOver(New()) }
-
-// NewNestableOver wraps the given plain lock in nestable semantics, allowing
-// the caller to choose spin/ticket/mutex waiting.
-func NewNestableOver(inner Lock) *Nestable {
-	n := &Nestable{inner: inner}
-	n.owner.Store(NoOwner)
-	return n
-}
-
-// Set acquires the lock for owner, or deepens the nesting if owner already
-// holds it (omp_set_nest_lock). It returns the resulting nesting depth.
-func (n *Nestable) Set(owner int) int {
-	if int(n.owner.Load()) == owner {
-		n.depth++
-		return n.depth
-	}
-	n.inner.Set()
-	n.owner.Store(int64(owner))
-	n.depth = 1
-	return 1
-}
-
-// Unset decrements the nesting depth, releasing the lock at zero
-// (omp_unset_nest_lock). It panics if the caller is not the owner, turning
-// the undefined behaviour of the spec into a loud failure.
-func (n *Nestable) Unset(owner int) int {
-	if int(n.owner.Load()) != owner {
-		panic("lock: Unset of nestable lock by non-owner")
-	}
-	n.depth--
-	if n.depth > 0 {
-		return n.depth
-	}
-	n.owner.Store(NoOwner)
-	n.inner.Unset()
-	return 0
-}
-
-// Test attempts acquisition without blocking (omp_test_nest_lock); it
-// returns the new depth on success and 0 on failure.
-func (n *Nestable) Test(owner int) int {
-	if int(n.owner.Load()) == owner {
-		n.depth++
-		return n.depth
-	}
-	if !n.inner.Test() {
-		return 0
-	}
-	n.owner.Store(int64(owner))
-	n.depth = 1
-	return 1
-}

@@ -48,7 +48,7 @@ func TestNewDefaults(t *testing.T) {
 	exercise(t, NewWithHint(HintSpeculative))
 }
 
-func testTestLock(t *testing.T, l Lock) {
+func testTestLock(t *testing.T, l tester) {
 	t.Helper()
 	if !l.Test() {
 		t.Fatal("Test on free lock must succeed")
@@ -92,88 +92,6 @@ func TestTicketIsFIFO(t *testing.T) {
 		if got := <-order; got != want {
 			t.Fatalf("FIFO violated: got %d, want %d", got, want)
 		}
-	}
-}
-
-func TestNestableReentry(t *testing.T) {
-	n := NewNestable()
-	const owner = 7
-	if d := n.Set(owner); d != 1 {
-		t.Fatalf("first Set depth = %d", d)
-	}
-	if d := n.Set(owner); d != 2 {
-		t.Fatalf("reentrant Set depth = %d", d)
-	}
-	if d := n.Unset(owner); d != 1 {
-		t.Fatalf("first Unset depth = %d", d)
-	}
-	// Still held: another owner's Test must fail.
-	if d := n.Test(owner + 1); d != 0 {
-		t.Fatalf("foreign Test on held nest lock = %d, want 0", d)
-	}
-	if d := n.Unset(owner); d != 0 {
-		t.Fatalf("final Unset depth = %d", d)
-	}
-	// Released: another owner may take it now.
-	if d := n.Test(owner + 1); d != 1 {
-		t.Fatalf("Test on free nest lock = %d, want 1", d)
-	}
-}
-
-func TestNestableBlocksOtherOwners(t *testing.T) {
-	n := NewNestable()
-	n.Set(1)
-	acquired := make(chan struct{})
-	go func() {
-		n.Set(2)
-		close(acquired)
-		n.Unset(2)
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("owner 2 acquired a lock held by owner 1")
-	case <-time.After(50 * time.Millisecond):
-	}
-	n.Unset(1)
-	select {
-	case <-acquired:
-	case <-time.After(2 * time.Second):
-		t.Fatal("owner 2 never acquired after release")
-	}
-}
-
-func TestNestableUnsetByNonOwnerPanics(t *testing.T) {
-	n := NewNestable()
-	n.Set(1)
-	defer n.Unset(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on non-owner Unset")
-		}
-	}()
-	n.Unset(2)
-}
-
-func TestNestableConcurrentOwners(t *testing.T) {
-	n := NewNestable()
-	var counter int64
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(owner int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				n.Set(owner)
-				n.Set(owner) // nested re-acquire
-				counter++    // plain increment guarded by the lock
-				n.Unset(owner)
-				n.Unset(owner)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if counter != 8*500 {
-		t.Errorf("lost updates under nest lock: %d", counter)
 	}
 }
 

@@ -320,12 +320,6 @@ func emitPathological(b *strings.Builder, i int, rng *rand.Rand) {
 	}
 }
 
-// MalformedDirectiveBodies returns the bad-directive templates, for tests
-// that want to assert per-template behaviour.
-func MalformedDirectiveBodies() []string {
-	return append([]string(nil), malformedBodies...)
-}
-
 // MalformedSeedFiles wraps each malformed template into a complete Go file,
 // ready to feed a fuzzer's seed corpus (f.Add) or the transformer directly.
 func MalformedSeedFiles() []string {

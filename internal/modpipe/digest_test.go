@@ -16,7 +16,7 @@ import (
 // diagnostic of a 240-file seed-1 corpus under all three sema modes, taken
 // at pinnedVersion.
 const (
-	pinnedVersion = "12.0"
+	pinnedVersion = "13.0"
 	pinnedDigest  = "1ee977f77716a72a90be9a84a9534888f65ee33818e4b40db9b7022dd659d1a1"
 )
 

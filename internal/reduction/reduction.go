@@ -69,36 +69,6 @@ func (o Op) String() string {
 	}
 }
 
-// ParseOp parses a reduction-identifier as written in a reduction clause.
-func ParseOp(s string) (Op, error) {
-	switch s {
-	case "+":
-		return Sum, nil
-	case "*":
-		return Prod, nil
-	case "max":
-		return Max, nil
-	case "min":
-		return Min, nil
-	case "&":
-		return BitAnd, nil
-	case "|":
-		return BitOr, nil
-	case "^":
-		return BitXor, nil
-	case "&&":
-		return LogAnd, nil
-	case "||":
-		return LogOr, nil
-	case "-":
-		// OpenMP defines "-" reductions to combine with +, a notorious
-		// spec quirk we preserve.
-		return Sum, nil
-	default:
-		return 0, fmt.Errorf("reduction: unknown operator %q", s)
-	}
-}
-
 // Number constrains the numeric types reductions operate over.
 type Number interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 |
@@ -251,13 +221,6 @@ func (a *Accumulator[T]) Update(tid int, v T) {
 	a.slots[tid*slotStride] = Combine(a.op, a.slots[tid*slotStride], v)
 }
 
-// Set overwrites tid's partial (used when a body computes the whole chunk
-// partial itself and hands it over once).
-func (a *Accumulator[T]) Set(tid int, v T) { a.slots[tid*slotStride] = v }
-
-// Get returns tid's current partial.
-func (a *Accumulator[T]) Get(tid int) T { return a.slots[tid*slotStride] }
-
 // Reduce combines all partials pairwise in a fixed left-to-right order —
 // deterministic for a given team size, which the tests rely on — and returns
 // the result. Call only after all updates have completed (post-barrier).
@@ -268,8 +231,3 @@ func (a *Accumulator[T]) Reduce() T {
 	}
 	return acc
 }
-
-// ReduceInto combines the reduction result with the original variable value,
-// implementing the spec rule that the reduction result is combined with the
-// pre-construct value of the list item.
-func (a *Accumulator[T]) ReduceInto(orig T) T { return Combine(a.op, orig, a.Reduce()) }

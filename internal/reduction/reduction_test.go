@@ -7,32 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestParseOp(t *testing.T) {
-	cases := map[string]Op{
-		"+": Sum, "*": Prod, "max": Max, "min": Min,
-		"&": BitAnd, "|": BitOr, "^": BitXor, "&&": LogAnd, "||": LogOr,
-		"-": Sum, // the spec's subtraction-reduces-with-plus quirk
-	}
-	for in, want := range cases {
-		got, err := ParseOp(in)
-		if err != nil || got != want {
-			t.Errorf("ParseOp(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseOp("%%"); err == nil {
-		t.Error("expected error for unknown op")
-	}
-}
-
-func TestOpStringRoundTrip(t *testing.T) {
-	for _, op := range []Op{Sum, Prod, Max, Min, BitAnd, BitOr, BitXor, LogAnd, LogOr} {
-		got, err := ParseOp(op.String())
-		if err != nil || got != op {
-			t.Errorf("round trip %v: got %v, %v", op, got, err)
-		}
-	}
-}
-
 func TestIdentityInt(t *testing.T) {
 	if Identity[int](Sum) != 0 || Identity[int](Prod) != 1 {
 		t.Error("sum/prod identity wrong")
@@ -211,7 +185,7 @@ func TestStrategiesAgree(t *testing.T) {
 			}(tid)
 		}
 		wg.Wait()
-		if got, want := sink.Result(), float64(n*perThread)*1.5; got != want {
+		if got, want := result(sink), float64(n*perThread)*1.5; got != want {
 			t.Errorf("%v: result = %g, want %g", s, got, want)
 		}
 	}
@@ -222,8 +196,8 @@ func TestCriticalStrategyMax(t *testing.T) {
 	sink.Contribute(0, 3)
 	sink.Contribute(1, 9)
 	sink.Contribute(0, 5)
-	if sink.Result() != 9 {
-		t.Errorf("critical max = %g", sink.Result())
+	if result(sink) != 9 {
+		t.Errorf("critical max = %g", result(sink))
 	}
 }
 

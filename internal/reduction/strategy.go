@@ -20,26 +20,11 @@ const (
 	StrategyCritical
 )
 
-// String returns the strategy name used by benchmark labels.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyAtomic:
-		return "atomic"
-	case StrategyCritical:
-		return "critical"
-	default:
-		return "partials"
-	}
-}
-
 // SharedFloat64 is a reduction sink usable from any strategy; the ablation
 // benchmark drives all three through this interface.
 type SharedFloat64 interface {
 	// Contribute folds v into the reduction from thread tid.
 	Contribute(tid int, v float64)
-	// Result returns the combined value; call only after all
-	// contributions are complete.
-	Result() float64
 }
 
 // NewSharedFloat64 builds a float64 sum reduction sink for n threads using
@@ -61,12 +46,10 @@ func NewSharedFloat64(strategy Strategy, op Op, n int) SharedFloat64 {
 type partialsFloat64 struct{ acc *Accumulator[float64] }
 
 func (p *partialsFloat64) Contribute(tid int, v float64) { p.acc.Update(tid, v) }
-func (p *partialsFloat64) Result() float64               { return p.acc.Reduce() }
 
 type atomicFloat64 struct{ cell atomicops.Float64 }
 
 func (a *atomicFloat64) Contribute(_ int, v float64) { a.cell.Add(v) }
-func (a *atomicFloat64) Result() float64             { return a.cell.Load() }
 
 type criticalFloat64 struct {
 	mu  sync.Mutex
@@ -78,10 +61,4 @@ func (c *criticalFloat64) Contribute(_ int, v float64) {
 	c.mu.Lock()
 	c.acc = Combine(c.op, c.acc, v)
 	c.mu.Unlock()
-}
-
-func (c *criticalFloat64) Result() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.acc
 }

@@ -2,36 +2,18 @@ package sched
 
 import "math"
 
-// Nest is a perfectly nested collection of canonical loops flattened into a
-// single logical iteration space — the loop-collapsing transformation of
-// the collapse(n) clause. The combined space enumerates the nest in its
-// sequential execution order (outermost loop varies slowest), so logical
-// iteration k of the Nest corresponds to one execution of the innermost
-// body; Delinearize recovers each level's loop-variable value from k.
+// NestTrips fills trips[i] with loops[i]'s trip count and returns the
+// overflow-checked product — the flattened collapse(n) trip count of a
+// perfectly nested collection of canonical loops, outermost first. Callers
+// pass a reusable trips buffer (the runtime's per-thread scratch), so it
+// allocates nothing.
 //
 // Collapsing exists to feed schedulers: a nest whose outer loop has few
 // (or badly imbalanced) iterations parallelises poorly on its own, while
 // the flattened space gives the schedule clause — in particular the
-// work-stealing steal schedule — trip₁·trip₂·… units to balance.
-type Nest struct {
-	loops []Loop
-	trips []int64
-	total int64
-}
-
-// NewNest builds the flattened space for the given loops, outermost first.
-// It panics if the combined trip count overflows int64 (a nest of that size
-// could never be executed anyway).
-func NewNest(loops ...Loop) Nest {
-	n := Nest{loops: loops, trips: make([]int64, len(loops))}
-	n.total = NestTrips(loops, n.trips)
-	return n
-}
-
-// NestTrips fills trips[i] with loops[i]'s trip count and returns the
-// overflow-checked product — the flattened collapse(n) trip count. It is
-// the allocation-free core of NewNest: callers with a reusable trips
-// buffer (the runtime's per-thread scratch) avoid building a Nest.
+// work-stealing steal schedule — trip₁·trip₂·… units to balance. The
+// flattened space enumerates the nest in its sequential execution order
+// (outermost loop varies slowest).
 func NestTrips(loops []Loop, trips []int64) int64 {
 	total := int64(1)
 	for i, l := range loops {
@@ -54,26 +36,11 @@ func NestTrips(loops []Loop, trips []int64) int64 {
 
 // DelinearizeNest maps logical iteration k of the flattened space back to
 // per-level loop-variable values (ix[0] outermost), given the trip counts
-// NestTrips computed. Allocation-free companion of Nest.Delinearize.
+// NestTrips computed.
 func DelinearizeNest(loops []Loop, trips []int64, k int64, ix []int64) {
 	for i := len(loops) - 1; i >= 0; i-- {
 		t := trips[i]
 		ix[i] = loops[i].Iteration(k % t)
 		k /= t
 	}
-}
-
-// Depth returns the number of collapsed loops.
-func (n *Nest) Depth() int { return len(n.loops) }
-
-// TripCount returns the product of the per-level trip counts.
-func (n *Nest) TripCount() int64 { return n.total }
-
-// Delinearize maps logical iteration k of the flattened space back to the
-// per-level loop-variable values, filling ix (which must have Depth
-// elements): ix[0] is the outermost loop's variable value. This is the
-// bound-calculation half of the collapse lowering; the runtime loop over
-// chunks calls it once per logical iteration.
-func (n *Nest) Delinearize(k int64, ix []int64) {
-	DelinearizeNest(n.loops, n.trips, k, ix)
 }

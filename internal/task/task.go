@@ -72,9 +72,6 @@ type Unit struct {
 	graph *Graph
 }
 
-// Pool returns the pool this task belongs to.
-func (u *Unit) Pool() *Pool { return u.pool }
-
 // Tid returns the id of the thread currently executing this task.
 func (u *Unit) Tid() int { return u.tid }
 
@@ -181,9 +178,6 @@ func NewPool(n int) *Pool {
 	return p
 }
 
-// N returns the team size the pool serves.
-func (p *Pool) N() int { return p.n }
-
 // SetGTIDs supplies the team's global thread ids so trace events carry the
 // runtime-wide id rather than the team-local one. The slice is retained.
 func (p *Pool) SetGTIDs(gtids []int) { p.gtids = gtids }
@@ -205,12 +199,6 @@ func (p *Pool) gtid(tid int) int {
 	}
 	return tid
 }
-
-// Outstanding returns the number of tasks spawned-but-unfinished, including
-// tasks still waiting on dependencies. Zero means the pool is quiescent *at
-// this instant*; callers coordinating shutdown must ensure no thread can
-// still spawn (the barrier protocol does).
-func (p *Pool) Outstanding() int64 { return p.outstanding.Load() }
 
 // SpawnOpts carries the task-creation clauses that affect scheduling.
 type SpawnOpts struct {

@@ -35,15 +35,3 @@ func TestNQueensMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-func TestTreeMatchesSerial(t *testing.T) {
-	want := TreeSerial(16, 10)
-	if want < 17 { // root + at least the root's direct children
-		t.Fatalf("TreeSerial(16, 10) = %d, implausibly small", want)
-	}
-	for _, n := range []int{1, 2, 4} {
-		if got := Tree(benchRT(n), 16, 10, 4); got != want {
-			t.Errorf("Tree(16,10) on %d threads = %d, want %d", n, got, want)
-		}
-	}
-}

@@ -174,14 +174,6 @@ func (r *Recorder) Records() []Record {
 	return append([]Record(nil), r.records...)
 }
 
-// Reset clears the log and tallies.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.records = r.records[:0]
-	r.counts = [numEvents]int64{}
-	r.mu.Unlock()
-}
-
 // Summary renders per-event counts, sorted by event id.
 func (r *Recorder) Summary() string {
 	r.mu.Lock()

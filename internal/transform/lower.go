@@ -583,7 +583,7 @@ func (g *gen) collectNest(s *site, outer *ast.ForStmt, n int) ([]loopInfo, *ast.
 
 // emitCollapse lowers a collapse(n) perfectly nested loop nest. Depth 2
 // flattens inline with div/mod on the inner trip count; deeper nests lower
-// to ForNest, whose sched.Nest de-linearizes each logical iteration.
+// to ForNest, whose sched.DelinearizeNest de-linearizes each logical iteration.
 func (g *gen) emitCollapse(b *strings.Builder, s *site, outer *ast.ForStmt, tvar string, lastVars []string, n int) error {
 	if len(lastVars) > 0 {
 		return s.diag(directive.DiagUnsupported, "lastprivate with collapse is not supported")

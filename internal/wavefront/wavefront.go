@@ -6,26 +6,17 @@
 //
 // Plain worksharing loops cannot express this (they would need a barrier
 // per anti-diagonal, serialising the ragged start and end of each front);
-// task dependencies — or doacross cross-iteration dependences — let every
-// tile start the moment its two predecessors finish. The variants follow
-// the NPB kernels' convention: Serial is the baseline, Ref is the hand-built
-// goroutine pipeline (barrier per anti-diagonal, the best structure
-// available without dependencies), OMP runs one task per tile per sweep
-// with depend(in) on the north/west tiles' tokens and depend(inout) on the
+// task dependencies let every tile start the moment its two predecessors
+// finish. Serial is the baseline; OMP runs one task per tile per sweep with
+// depend(in) on the north/west tiles' tokens and depend(inout) on the
 // tile's own, recorded once as a taskgraph and replayed for every later
-// sweep, and Doacross expresses the same dependences at loop level via
-// ordered(2) + depend(sink)/depend(source).
+// sweep.
 //
-// All variants apply updates in the same per-cell order, so their results
+// Both variants apply updates in the same per-cell order, so their results
 // are bit-identical and Checksum equality is exact.
 package wavefront
 
-import (
-	"sync"
-
-	"repro/internal/core"
-	"repro/internal/sched"
-)
+import "repro/internal/core"
 
 // Spec fixes a wavefront problem: an N×N grid swept Sweeps times in tiles
 // of Block×Block cells.
@@ -33,16 +24,6 @@ type Spec struct {
 	N      int
 	Block  int
 	Sweeps int
-}
-
-// DefaultSpec returns the configuration for an n×n grid: 64×64 tiles (one
-// tile when n is smaller) and four sweeps.
-func DefaultSpec(n int) Spec {
-	b := 64
-	if b > n {
-		b = n
-	}
-	return Spec{N: n, Block: b, Sweeps: 4}
 }
 
 // blocks returns the tile count per dimension (over rows/cols 1..N-1; row 0
@@ -97,61 +78,6 @@ func Serial(s Spec, g []float64) {
 			}
 		}
 	}
-}
-
-// Ref is the hand-parallelised goroutine implementation: tiles of each
-// anti-diagonal run concurrently (bounded by threads), with a full join
-// between diagonals — the structure a runtime without task dependencies
-// forces onto a wavefront.
-func Ref(s Spec, g []float64, threads int) {
-	if threads < 1 {
-		threads = 1
-	}
-	nb := s.blocks()
-	sem := make(chan struct{}, threads)
-	for sweep := 0; sweep < s.Sweeps; sweep++ {
-		for d := 0; d <= 2*(nb-1); d++ {
-			var wg sync.WaitGroup
-			for bi := max(0, d-nb+1); bi <= min(d, nb-1); bi++ {
-				bj := d - bi
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(bi, bj int) {
-					defer wg.Done()
-					tile(s, g, bi, bj)
-					<-sem
-				}(bi, bj)
-			}
-			wg.Wait()
-		}
-	}
-}
-
-// Doacross runs the wavefront as a doacross loop — `ordered(2)` with
-// `depend(sink)` / `depend(source)` — the loop-level alternative to the
-// task DAG: the 2-D tile space is one worksharing loop per sweep, and each
-// tile waits point-to-point on its north and west neighbours' finished
-// flags instead of on task-dependence edges. No tasks, no tokens, no
-// per-tile closures; the pipeline lives entirely in the worksharing
-// entry's iteration-flag vector. Compared to Ref's barrier per
-// anti-diagonal, the flags let the ragged front advance tile by tile.
-//
-// Tiles update cells in the same order as Serial and respect the same
-// dependences, so the result is bit-identical to the serial oracle.
-func Doacross(rt *core.Runtime, s Spec, g []float64) {
-	nb := int64(s.blocks())
-	loops := []sched.Loop{{Begin: 0, End: nb, Step: 1}, {Begin: 0, End: nb, Step: 1}}
-	rt.Parallel(func(t *core.Thread) {
-		for sweep := 0; sweep < s.Sweeps; sweep++ {
-			t.ForDoacross(loops, func(ix []int64, d *core.DoacrossCtx) {
-				bi, bj := ix[0], ix[1]
-				d.Wait(bi-1, bj) // north tile (vacuous on the first row)
-				d.Wait(bi, bj-1) // west tile (vacuous on the first column)
-				tile(s, g, int(bi), int(bj))
-				d.Post()
-			})
-		}
-	})
 }
 
 // OMP runs the wavefront on the gomp runtime: the master generates one task

@@ -20,18 +20,6 @@ func serialChecksum(s Spec) float64 {
 	return Checksum(g)
 }
 
-func TestRefMatchesSerialExactly(t *testing.T) {
-	s := Spec{N: 257, Block: 32, Sweeps: 3}
-	want := serialChecksum(s)
-	for _, threads := range []int{1, 2, 4} {
-		g := NewGrid(s)
-		Ref(s, g, threads)
-		if got := Checksum(g); got != want {
-			t.Errorf("Ref(threads=%d) checksum %v, want %v", threads, got, want)
-		}
-	}
-}
-
 func TestOMPMatchesSerialExactly(t *testing.T) {
 	s := Spec{N: 257, Block: 32, Sweeps: 3}
 	want := serialChecksum(s)
